@@ -72,9 +72,13 @@
 //!   instances (`n = 65536`) fit a few GiB. ORP diameters are
 //!   single-digit, so the tighter cap never binds on real searches.
 //!
-//! Transactional row snapshots are run-length encoded (a repaired row
-//! differs from its pre-image in a handful of runs), so rejected
-//! proposals at large `m` do not copy whole rows around.
+//! Transactions keep a sparse **undo journal** of the cache rather than
+//! row snapshots: every entry a repair rewrites pushes one
+//! `(source, switch, old distance)` cell, and only rows a re-BFS
+//! rewrites wholesale keep a plain row copy. Rollback replays the cells
+//! in reverse and patches each row's aggregates per cell in integer
+//! arithmetic, so a rejected proposal costs what its repair changed —
+//! not `O(m)` per repaired row.
 //!
 //! # Sharded parallel repair
 //!
@@ -458,31 +462,61 @@ enum RowStore {
 fn row_get(store: &RowStore, m: usize, s: usize, v: usize) -> u16 {
     match store {
         RowStore::Dense(rows) => rows[s * m + v],
-        RowStore::Packed(rows) => {
-            let b = rows[s * m + v];
-            if b == PACKED_INVALID {
-                INVALID_DIST
-            } else {
-                u16::from(b)
-            }
-        }
+        RowStore::Packed(rows) => unpack_dist(rows[s * m + v]),
     }
 }
 
-/// Run-length encodes row `s` as flattened `(value, run)` `u16` pairs
-/// appended to `out`; runs split at `u16::MAX`.
-fn encode_row_rle(store: &RowStore, m: usize, s: usize, out: &mut Vec<u16>) {
-    let mut v = 0usize;
-    while v < m {
-        let val = row_get(store, m, s, v);
-        let mut run = 1usize;
-        while v + run < m && run < u16::MAX as usize && row_get(store, m, s, v + run) == val {
-            run += 1;
-        }
-        out.push(val);
-        out.push(run as u16);
-        v += run;
+/// Writes entry `(s, v)` of the row store from a logical `u16` distance.
+#[inline]
+fn row_set(store: &mut RowStore, m: usize, s: usize, v: usize, d: u16) {
+    match store {
+        RowStore::Dense(rows) => rows[s * m + v] = d,
+        RowStore::Packed(rows) => rows[s * m + v] = pack_dist(d),
     }
+}
+
+/// The highest non-empty bucket of a distance histogram (0 if none),
+/// given that no bucket above `bound` is occupied — the scan starts
+/// there instead of at the histogram's far end.
+#[inline]
+fn top_bucket(hist: &[u32], bound: u16) -> u16 {
+    hist[..=usize::from(bound)]
+        .iter()
+        .rposition(|&cnt| cnt != 0)
+        .unwrap_or(0) as u16
+}
+
+/// The logical `u16` distance of a packed-row byte.
+#[inline]
+fn unpack_dist(b: u8) -> u16 {
+    if b == PACKED_INVALID {
+        INVALID_DIST
+    } else {
+        u16::from(b)
+    }
+}
+
+/// The packed-row byte of a logical `u16` distance.
+#[inline]
+fn pack_dist(d: u16) -> u8 {
+    if d == INVALID_DIST {
+        PACKED_INVALID
+    } else {
+        debug_assert!(d < u16::from(PACKED_INVALID));
+        d as u8
+    }
+}
+
+/// One entry of the distance cache's transactional undo journal,
+/// replayed newest-first by [`DistCache::rollback_mark`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum CacheUndo {
+    /// A repair rewrote entry `(src, sw)`, which held `old` before.
+    Cell { src: u32, sw: u32, old: u16 },
+    /// A re-BFS rewrote row `src` wholesale. Its pre-image is the last
+    /// `m` entries of [`DistCache::row_images`] not yet replayed, and
+    /// `was_valid` its validity before the sweep.
+    Row { src: u32, was_valid: bool },
 }
 
 /// Raw views into the cache arrays, so one sweep/repair implementation
@@ -503,47 +537,45 @@ struct CachePtrs {
     m: usize,
 }
 
-// SAFETY: the pointers are only dereferenced for sources assigned to the
-// holder, and distinct workers are assigned disjoint sources.
+// SAFETY: a `CachePtrs` is taken from the `DistCache` that the
+// evaluating thread borrows mutably for the whole job, so the arrays
+// outlive every copy a worker holds (`EvalPool::run` returns only after
+// all workers finished). Through it a thread writes only the rows and
+// aggregate slots of the sources its task owns, and tasks own disjoint
+// sources, so no two threads touch the same slot.
 unsafe impl Send for CachePtrs {}
+// SAFETY: as for `Send`: shared references are only used to reach the
+// disjoint per-source slots of the task holding them.
 unsafe impl Sync for CachePtrs {}
 
 impl CachePtrs {
     /// Reads entry `(s, v)` as a logical `u16` distance.
     ///
     /// # Safety
-    /// The caller must own source `s` for the duration of the job.
+    /// `s, v < m`; the caller's task owns source `s` (no other thread
+    /// reads or writes row `s` meanwhile) and the cache these pointers
+    /// came from is still borrowed by the evaluating thread, so the row
+    /// store is live.
     #[inline]
     unsafe fn get(&self, s: usize, v: usize) -> u16 {
         match self.codec {
             CacheCodec::Dense => *(self.rows as *const u16).add(s * self.m + v),
-            CacheCodec::Packed => {
-                let b = *self.rows.add(s * self.m + v);
-                if b == PACKED_INVALID {
-                    INVALID_DIST
-                } else {
-                    u16::from(b)
-                }
-            }
+            CacheCodec::Packed => unpack_dist(*self.rows.add(s * self.m + v)),
         }
     }
 
     /// Writes entry `(s, v)` from a logical `u16` distance.
     ///
     /// # Safety
-    /// The caller must own source `s` for the duration of the job.
+    /// `s, v < m`; the caller's task owns source `s` (no other thread
+    /// reads or writes row `s` meanwhile) and the cache these pointers
+    /// came from is still borrowed by the evaluating thread, so the row
+    /// store is live.
     #[inline]
     unsafe fn set(&self, s: usize, v: usize, d: u16) {
         match self.codec {
             CacheCodec::Dense => *(self.rows as *mut u16).add(s * self.m + v) = d,
-            CacheCodec::Packed => {
-                *self.rows.add(s * self.m + v) = if d == INVALID_DIST {
-                    PACKED_INVALID
-                } else {
-                    debug_assert!(d < u16::from(PACKED_INVALID));
-                    d as u8
-                }
-            }
+            CacheCodec::Packed => *self.rows.add(s * self.m + v) = pack_dist(d),
         }
     }
 
@@ -551,7 +583,8 @@ impl CachePtrs {
     /// all-ones bytes for it).
     ///
     /// # Safety
-    /// The caller must own source `s` for the duration of the job.
+    /// As [`CachePtrs::set`]: `s < m`, the caller's task owns source
+    /// `s`, and the row store is live.
     #[inline]
     unsafe fn fill_invalid(&self, s: usize) {
         match self.codec {
@@ -566,6 +599,9 @@ impl CachePtrs {
 /// As [`sweep_batch`], but additionally fills the cache row and
 /// per-source aggregates of every swept source. Returns `false` when a
 /// BFS level reaches the cache's distance cap (cache must be disabled).
+///
+/// Callers pass `c` from the live cache and hand this batch the sources
+/// in `srcs` exclusively (one task per batch, batches disjoint).
 fn sweep_batch_cached(
     csr: &SlotCsr,
     counts: &[u32],
@@ -577,8 +613,10 @@ fn sweep_batch_cached(
     let m = csr.len();
     debug_assert_eq!(m, c.m);
     scratch.reset(m);
-    // SAFETY: every source in `srcs` is owned by this batch; rows and
-    // per-source aggregates of distinct sources never alias.
+    // SAFETY: this batch's task owns every source in `srcs` (batches
+    // are disjoint), so no other thread touches these rows; `c` comes
+    // from the cache the evaluating thread holds borrowed until the job
+    // ends, so the row store is live.
     unsafe {
         for &s in srcs {
             let s = s as usize;
@@ -611,7 +649,8 @@ fn sweep_batch_cached(
                 while bits != 0 {
                     let s = srcs[bits.trailing_zeros() as usize] as usize;
                     bits &= bits - 1;
-                    // SAFETY: `s` belongs to this batch (see above).
+                    // SAFETY: `s` is in `srcs`, which this task owns, and
+                    // the store is live (see above); `v < m`.
                     unsafe {
                         c.set(s, v, depth as u16);
                     }
@@ -627,7 +666,9 @@ fn sweep_batch_cached(
     // row — far cheaper than scalar updates inside the frontier bit
     // loop above, which would cost one scattered read-modify-write per
     // (source, switch) pair.
-    // SAFETY: as above.
+    // SAFETY: this task owns every source in `srcs` and its rows are
+    // fully written; the aggregate arrays belong to the same borrowed
+    // cache as the rows, so they are live.
     unsafe {
         for &s in srcs {
             recompute_aggregates_ptr(c, s as usize, counts);
@@ -641,8 +682,10 @@ fn sweep_batch_cached(
 /// sequential pass shared by the sweep workers and the repair path.
 ///
 /// # Safety
-/// The caller must own source `s` (no other thread may touch its row or
-/// aggregate slots), and the row must be fully written.
+/// `s < m`; the caller's task must own source `s` (no other thread may
+/// touch its row or aggregate slots), the cache behind `c` must still be
+/// borrowed by the evaluating thread (so every array is live), and the
+/// row must be fully written.
 unsafe fn recompute_aggregates_ptr(c: &CachePtrs, s: usize, counts: &[u32]) {
     let m = c.m;
     let hist = std::slice::from_raw_parts_mut(c.hist.add(s * c.max_dist), c.max_dist);
@@ -697,22 +740,22 @@ struct DistCache {
     /// Set when a sweep or repair overflowed the distance cap; the
     /// engine then falls back to full sweeps forever.
     disabled: bool,
-    // -- transactional snapshots ------------------------------------
-    /// Sources whose rows were overwritten inside an open transaction,
-    /// with their pre-overwrite validity and the start offset of their
-    /// RLE image in [`Self::snap_rle`]. Restored in reverse on
-    /// rollback, so the earliest (pre-transaction) copy wins.
-    snap_src: Vec<(u32, bool, u32)>,
-    /// Run-length arena backing [`Self::snap_src`]: flattened
-    /// `(value, run)` `u16` pairs per saved row.
-    snap_rle: Vec<u16>,
-    /// `snap_src` boundary per open transaction level.
-    snap_marks: Vec<usize>,
+    // -- transactional undo journal ---------------------------------
+    /// Every cache write made inside an open transaction, oldest first:
+    /// one cell per entry a repair rewrote, one row record per row a
+    /// re-BFS rewrote. Replayed newest-first on rollback, so the
+    /// earliest (pre-transaction) value of each entry wins.
+    journal: Vec<CacheUndo>,
+    /// Logical pre-images of the rows behind the journal's
+    /// [`CacheUndo::Row`] records, `m` entries each, in journal order.
+    row_images: Vec<u16>,
+    /// `journal` boundary per open transaction level.
+    marks: Vec<usize>,
     /// Copy of [`Self::edge_delta`] at each `begin`, restored wholesale
     /// on rollback (the restored rows match the restored graph, so the
     /// inverse notes pushed by undo replay are discarded).
     saved_deltas: Vec<Vec<(Switch, Switch, i32)>>,
-    // -- scan scratch (never snapshotted) ---------------------------
+    // -- scan scratch (never journaled) -----------------------------
     /// Per-source classification bits (`ADD_AFF` / `DEL_AFF` /
     /// `NO_STRICT`).
     flags: Vec<u8>,
@@ -786,9 +829,9 @@ impl DistCache {
             nreach: vec![0; m],
             edge_delta: Vec::new(),
             disabled: false,
-            snap_src: Vec::new(),
-            snap_rle: Vec::new(),
-            snap_marks: Vec::new(),
+            journal: Vec::new(),
+            row_images: Vec::new(),
+            marks: Vec::new(),
             saved_deltas: Vec::new(),
             flags: vec![0; m],
             wneed: vec![0; m],
@@ -799,7 +842,7 @@ impl DistCache {
     }
 
     /// Resident bytes of the bulk row store, the per-source aggregates,
-    /// and the live transactional snapshot arena.
+    /// and the live transactional undo journal.
     fn resident_bytes(&self) -> usize {
         let rows = match &self.store {
             RowStore::Dense(r) => r.len() * 2,
@@ -810,105 +853,160 @@ impl DistCache {
             + self.nreach.len() * 4
             + self.ecc.len() * 2
             + self.valid.len()
-            + self.snap_rle.len() * 2
+            + self.journal.len() * std::mem::size_of::<CacheUndo>()
+            + self.row_images.len() * 2
     }
 
-    // -- transactional snapshots --------------------------------------
+    // -- transactional undo journal -----------------------------------
 
-    /// Opens a snapshot level (called from [`SearchState::begin`]).
+    /// Opens a journal level (called from [`SearchState::begin`]).
     fn mark(&mut self) {
         if self.disabled {
             return;
         }
-        self.snap_marks.push(self.snap_src.len());
+        self.marks.push(self.journal.len());
         self.saved_deltas.push(self.edge_delta.clone());
     }
 
-    /// Folds the innermost snapshot level into its parent (commit): the
-    /// entries stay restorable by an enclosing rollback and are dropped
+    /// Folds the innermost journal level into its parent (commit): the
+    /// entries stay replayable by an enclosing rollback and are dropped
     /// only when the outermost transaction commits.
     fn commit_mark(&mut self) {
         if self.disabled {
             return;
         }
-        self.snap_marks.pop();
+        self.marks.pop();
         self.saved_deltas.pop();
-        if self.snap_marks.is_empty() {
-            self.snap_src.clear();
-            self.snap_rle.clear();
+        if self.marks.is_empty() {
+            self.journal.clear();
+            self.row_images.clear();
         }
     }
 
-    /// Restores every row dirtied since the innermost `mark` (reverse
-    /// order, so the earliest copy wins) and rewinds the edge delta to
-    /// its state at `begin`. Aggregates of restored rows are recomputed
-    /// against `counts`, which the caller passes *after* replaying the
-    /// undo log — so host counts are already rolled back.
+    /// Undoes every cache write since the innermost `mark`, newest
+    /// first, and rewinds the edge delta to its state at `begin`.
+    ///
+    /// The caller replays the transaction's undo log first, so `counts`
+    /// are already rolled back and every valid row's aggregates match
+    /// its row as stored under those counts (host moves patch them
+    /// eagerly). Each undone cell then moves one entry between
+    /// histogram buckets and adjusts `wsum`/`nreach` under the same
+    /// counts, and `ecc` is re-read from the histogram once per run of
+    /// cells of one source. All of it is integer arithmetic, so the
+    /// aggregates come back bit for bit without an `O(m)` rescan. Rows
+    /// restored from a wholesale copy are rescanned.
     fn rollback_mark(&mut self, counts: &[u32]) {
         if self.disabled {
             return;
         }
-        let (Some(boundary), Some(saved)) = (self.snap_marks.pop(), self.saved_deltas.pop()) else {
+        let (Some(boundary), Some(saved)) = (self.marks.pop(), self.saved_deltas.pop()) else {
             return;
         };
-        while self.snap_src.len() > boundary {
-            let (s, was_valid, start) = self.snap_src.pop().expect("len > boundary");
-            let s = s as usize;
-            let start = start as usize;
-            self.decode_snap_row(s, start);
-            self.snap_rle.truncate(start);
-            self.valid[s] = was_valid;
-            if was_valid {
-                // restored rows were validated when first stored
-                let ok = self.recompute_aggregates(s, counts);
-                debug_assert!(ok, "snapshot row of source {s} holds an oversized distance");
+        let m = self.m;
+        // Source whose eccentricity awaits a re-read, with a bound on
+        // it: the exact `ecc` before its run of cells, raised by every
+        // restored distance.
+        let mut ecc_due: Option<(usize, u16)> = None;
+        while self.journal.len() > boundary {
+            match self.journal.pop().expect("len > boundary") {
+                CacheUndo::Cell { src, sw, old } => {
+                    let s = src as usize;
+                    let bound = match ecc_due {
+                        Some((due, bound)) if due == s => bound,
+                        other => {
+                            if let Some((prev, bound)) = other {
+                                self.reread_ecc(prev, bound);
+                            }
+                            self.ecc[s]
+                        }
+                    };
+                    let restored = if old == INVALID_DIST { 0 } else { old };
+                    ecc_due = Some((s, bound.max(restored)));
+                    self.undo_cell(s, sw as usize, old, counts);
+                }
+                CacheUndo::Row { src, was_valid } => {
+                    if let Some((prev, bound)) = ecc_due.take() {
+                        self.reread_ecc(prev, bound);
+                    }
+                    let s = src as usize;
+                    let start = self.row_images.len() - m;
+                    let image = &self.row_images[start..];
+                    match &mut self.store {
+                        RowStore::Dense(rows) => rows[s * m..(s + 1) * m].copy_from_slice(image),
+                        RowStore::Packed(rows) => {
+                            for (b, &d) in rows[s * m..(s + 1) * m].iter_mut().zip(image) {
+                                *b = pack_dist(d);
+                            }
+                        }
+                    }
+                    self.row_images.truncate(start);
+                    self.valid[s] = was_valid;
+                    if was_valid {
+                        // restored rows were validated when first stored
+                        let ok = self.recompute_aggregates(s, counts);
+                        debug_assert!(ok, "row image of source {s} holds an oversized distance");
+                    }
+                }
             }
+        }
+        if let Some((prev, bound)) = ecc_due {
+            self.reread_ecc(prev, bound);
         }
         self.edge_delta = saved;
     }
 
-    /// Decodes the RLE image at `snap_rle[start..]` back into row `s`.
-    fn decode_snap_row(&mut self, s: usize, start: usize) {
-        let m = self.m;
-        let rle = &self.snap_rle[start..];
-        let mut v = 0usize;
-        let mut i = 0usize;
-        match &mut self.store {
-            RowStore::Dense(rows) => {
-                let base = s * m;
-                while v < m {
-                    let (val, run) = (rle[i], rle[i + 1] as usize);
-                    i += 2;
-                    rows[base + v..base + v + run].fill(val);
-                    v += run;
-                }
-            }
-            RowStore::Packed(rows) => {
-                let base = s * m;
-                while v < m {
-                    let (val, run) = (rle[i], rle[i + 1] as usize);
-                    i += 2;
-                    let b = if val == INVALID_DIST {
-                        PACKED_INVALID
-                    } else {
-                        val as u8
-                    };
-                    rows[base + v..base + v + run].fill(b);
-                    v += run;
-                }
-            }
+    /// Restores entry `(s, v)` to `old` and moves `v`'s contribution to
+    /// the aggregates of `s` from the current distance to `old` (only
+    /// hostful switches contribute). Leaves `ecc` to [`Self::reread_ecc`].
+    #[inline]
+    fn undo_cell(&mut self, s: usize, v: usize, old: u16, counts: &[u32]) {
+        debug_assert_ne!(s, v, "repairs never rewrite a row's own entry");
+        let cur = row_get(&self.store, self.m, s, v);
+        row_set(&mut self.store, self.m, s, v, old);
+        let k = u64::from(counts[v]);
+        if k == 0 || !self.valid[s] {
+            return;
         }
-        debug_assert_eq!(i, rle.len(), "trailing RLE data after row {s}");
+        let base = s * self.max_dist;
+        if cur != INVALID_DIST {
+            self.wsum[s] -= k * (u64::from(cur) + 2);
+            self.hist[base + cur as usize] -= 1;
+            self.nreach[s] -= 1;
+        }
+        if old != INVALID_DIST {
+            self.wsum[s] += k * (u64::from(old) + 2);
+            self.hist[base + old as usize] += 1;
+            self.nreach[s] += 1;
+        }
     }
 
-    /// Saves row `s` (and its validity) before a sweep or repair
-    /// overwrites it. Only meaningful while a snapshot level is open.
-    fn snapshot_row(&mut self, s: u32) {
-        debug_assert!(!self.snap_marks.is_empty());
-        let s_idx = s as usize;
-        let start = self.snap_rle.len() as u32;
-        self.snap_src.push((s, self.valid[s_idx], start));
-        encode_row_rle(&self.store, self.m, s_idx, &mut self.snap_rle);
+    /// Sets `ecc[s]` to the highest non-empty histogram bucket of `s`,
+    /// given that no bucket above `bound` is occupied.
+    fn reread_ecc(&mut self, s: usize, bound: u16) {
+        if self.valid[s] {
+            let hist = &self.hist[s * self.max_dist..(s + 1) * self.max_dist];
+            self.ecc[s] = top_bucket(hist, bound);
+        }
+    }
+
+    /// Journals row `s` (and its validity) before a re-BFS rewrites it
+    /// wholesale. Only meaningful while a journal level is open.
+    fn save_row(&mut self, s: u32) {
+        debug_assert!(!self.marks.is_empty());
+        let (m, si) = (self.m, s as usize);
+        self.journal.push(CacheUndo::Row {
+            src: s,
+            was_valid: self.valid[si],
+        });
+        match &self.store {
+            RowStore::Dense(rows) => self
+                .row_images
+                .extend_from_slice(&rows[si * m..(si + 1) * m]),
+            RowStore::Packed(rows) => {
+                let row = &rows[si * m..(si + 1) * m];
+                self.row_images.extend(row.iter().map(|&b| unpack_dist(b)));
+            }
+        }
     }
 
     /// Rebuilds `wsum`/`hist`/`ecc`/`nreach` of source `s` from its row
@@ -1285,9 +1383,9 @@ impl DistCache {
         self.nreach = Vec::new();
         self.valid = vec![false; self.m];
         self.edge_delta = Vec::new();
-        self.snap_src = Vec::new();
-        self.snap_rle = Vec::new();
-        self.snap_marks = Vec::new();
+        self.journal = Vec::new();
+        self.row_images = Vec::new();
+        self.marks = Vec::new();
         self.saved_deltas = Vec::new();
         self.flags = Vec::new();
         self.wneed = Vec::new();
@@ -1299,9 +1397,9 @@ impl DistCache {
 // ---- sharded in-place repair -------------------------------------------
 
 /// Per-worker scratch of the sharded repair path: epoch-stamped marker
-/// arrays, the bucket queue, and the worker-local RLE snapshot arena
-/// (merged into the cache's snapshot stack after the job, so workers
-/// never contend on it).
+/// arrays, the bucket queue, and the worker-local undo journal (merged
+/// into the cache's journal after the job, so workers never contend on
+/// it).
 #[derive(Debug, Default)]
 struct RepairScratch {
     /// Current epoch; a stamp array entry equals it iff set this source.
@@ -1317,11 +1415,11 @@ struct RepairScratch {
     buckets: Vec<Vec<u32>>,
     /// Orphans of the current source.
     orphans: Vec<u32>,
-    /// Rows this worker snapshotted during the current job, as
-    /// `(source, was_valid, start into snap_rle)`.
-    snaps: Vec<(u32, bool, u32)>,
-    /// RLE arena backing [`Self::snaps`].
-    snap_rle: Vec<u16>,
+    /// Sources this worker journaled during the current job, as
+    /// `(source, start of its cells in journal)`.
+    segs: Vec<(u32, usize)>,
+    /// [`CacheUndo::Cell`]s of this job's rewrites, grouped by source.
+    journal: Vec<CacheUndo>,
     /// Rows this worker's repairs actually rewrote during the job.
     touched: u32,
 }
@@ -1341,8 +1439,25 @@ impl RepairScratch {
 
     fn reset_job(&mut self) {
         self.touched = 0;
-        self.snaps.clear();
-        self.snap_rle.clear();
+        self.segs.clear();
+        self.journal.clear();
+    }
+
+    /// Starts the journal segment of source `s` (before its first
+    /// rewritten entry).
+    #[inline]
+    fn open_seg(&mut self, s: usize) {
+        self.segs.push((s as u32, self.journal.len()));
+    }
+
+    /// Journals that entry `(s, v)` held `old` before a repair rewrote it.
+    #[inline]
+    fn log(&mut self, s: usize, v: usize, old: u16) {
+        self.journal.push(CacheUndo::Cell {
+            src: s as u32,
+            sw: v as u32,
+            old,
+        });
     }
 }
 
@@ -1361,38 +1476,21 @@ struct RepairCtx {
     adds_len: usize,
     dels: *const (u32, u32),
     dels_len: usize,
-    /// Whether a transaction is open (rows must be snapshotted before
-    /// their first write).
-    snap: bool,
+    /// Whether a transaction is open (every rewritten entry must be
+    /// journaled).
+    journal: bool,
 }
 
-// SAFETY: every task dereferences only its own source's row, aggregate
-// slots, and flag byte; the shared inputs (csr/counts/adds/dels) are
-// read-only for the duration of the job.
+// SAFETY: the evaluating thread builds a `RepairCtx` from buffers it
+// owns (`csr`, `counts`, `adds_buf`, `dels_buf`, the cache) and neither
+// moves nor mutates them until the job ends, so every pointer stays
+// live for any worker holding a copy. A task writes only through
+// `cache`, and only the row and aggregates of the one source it owns;
+// `flags`, `csr`, `counts`, `adds` and `dels` are read-only.
 unsafe impl Send for RepairCtx {}
+// SAFETY: as for `Send`: shared access never writes outside the slots
+// of the holding task's own source.
 unsafe impl Sync for RepairCtx {}
-
-/// RLE-snapshots the pre-image of row `s` into this worker's local
-/// arena (merged into the cache's snapshot stack after the job).
-///
-/// # Safety
-/// The caller must own source `s` for the duration of the job.
-unsafe fn snapshot_into(rs: &mut RepairScratch, c: &CachePtrs, s: usize) {
-    let start = rs.snap_rle.len() as u32;
-    rs.snaps.push((s as u32, *c.valid.add(s), start));
-    let m = c.m;
-    let mut v = 0usize;
-    while v < m {
-        let val = c.get(s, v);
-        let mut run = 1usize;
-        while v + run < m && run < u16::MAX as usize && c.get(s, v + run) == val {
-            run += 1;
-        }
-        rs.snap_rle.push(val);
-        rs.snap_rle.push(run as u16);
-        v += run;
-    }
-}
 
 /// The added-link copies incident to `x`, as `(other endpoint,
 /// copies to skip)` — iterating `csr` neighbors must ignore exactly
@@ -1436,7 +1534,8 @@ fn consume_added(skip: &mut [(u32, u32); 4], w: u32) -> bool {
 /// already-orphaned vertex).
 ///
 /// # Safety
-/// The caller must own source `s` for the duration of the job.
+/// As [`CachePtrs::get`]: the caller's task owns source `s` and the
+/// cache behind `c` is live.
 #[inline]
 unsafe fn strict_parent_survives(
     c: &CachePtrs,
@@ -1465,15 +1564,18 @@ unsafe fn strict_parent_survives(
 /// links excluded). Orphan descent finds exactly the vertices whose
 /// every strict shortest-path parent is gone, then a bucket-Dijkstra
 /// re-settles them from the unorphaned boundary, patching
-/// `wsum`/`hist`/`ecc`/`nreach` per rewritten entry. Snapshots the row
-/// just before the first write when a transaction is open. Returns
-/// `None` on distance overflow, otherwise whether any entry was
-/// rewritten (a row whose every on-DAG removal keeps a surviving
-/// strict parent is untouched, and its aggregates stay exact).
+/// `wsum`/`hist`/`ecc`/`nreach` per rewritten entry. Journals each
+/// rewritten entry when a transaction is open. Returns `None` on
+/// distance overflow, otherwise whether any entry was rewritten (a
+/// row whose every on-DAG removal keeps a surviving strict parent is
+/// untouched, and its aggregates stay exact).
 ///
 /// # Safety
-/// The caller must own source `s` exclusively for the duration of the
-/// job, and every `RepairCtx` pointer must be live.
+/// `s < m`; the caller's task must own source `s` exclusively (no other
+/// thread reads or writes row `s` or its aggregates meanwhile), and
+/// every `RepairCtx` pointer must be live: the evaluating thread keeps
+/// the cache and the shared inputs borrowed, unmoved and unmutated until
+/// the job ends.
 unsafe fn del_repair_source(ctx: &RepairCtx, rs: &mut RepairScratch, s: usize) -> Option<bool> {
     let c = &ctx.cache;
     let max_dist = c.max_dist;
@@ -1539,10 +1641,10 @@ unsafe fn del_repair_source(ctx: &RepairCtx, rs: &mut RepairScratch, s: usize) -
     if rs.orphans.is_empty() {
         return Some(false);
     }
-    // The row is about to be rewritten: save it now if a snapshot
-    // level is open, so witness-protected rows never pay for one.
-    if ctx.snap {
-        snapshot_into(rs, c, s);
+    // The row is about to be rewritten: open its journal segment now,
+    // so witness-protected rows never pay for one.
+    if ctx.journal {
+        rs.open_seg(s);
     }
     // -- re-relaxation (unit-weight Dijkstra from the boundary) ---
     let mut lo = max_dist;
@@ -1587,6 +1689,9 @@ unsafe fn del_repair_source(ctx: &RepairCtx, rs: &mut RepairScratch, s: usize) -
             // strictly, so the eccentricity only ratchets up here.
             let d_old = c.get(s, xi);
             c.set(s, xi, key as u16);
+            if ctx.journal {
+                rs.log(s, xi, d_old);
+            }
             debug_assert!((key as u16) > d_old);
             let kx = counts[xi];
             if kx != 0 {
@@ -1618,6 +1723,9 @@ unsafe fn del_repair_source(ctx: &RepairCtx, rs: &mut RepairScratch, s: usize) -
         if rs.settled_ep[xi] != ep {
             let d_old = c.get(s, xi);
             c.set(s, xi, INVALID_DIST);
+            if ctx.journal {
+                rs.log(s, xi, d_old);
+            }
             let kx = counts[xi];
             if kx != 0 {
                 *wsum -= kx as u64 * (d_old as u64 + 2);
@@ -1631,8 +1739,9 @@ unsafe fn del_repair_source(ctx: &RepairCtx, rs: &mut RepairScratch, s: usize) -
     }
     if ecc_dirty {
         // the histogram is current again: its highest non-empty
-        // bucket is the surviving eccentricity
-        *ecc = hist.iter().rposition(|&cnt| cnt != 0).unwrap_or(0) as u16;
+        // bucket (none lies above the ratcheted `ecc`) is the surviving
+        // eccentricity
+        *ecc = top_bucket(hist, *ecc);
     }
     Some(true)
 }
@@ -1644,7 +1753,10 @@ unsafe fn del_repair_source(ctx: &RepairCtx, rs: &mut RepairScratch, s: usize) -
 /// above the current entry is stale and skipped). Only entries that
 /// actually shrink are touched, and the aggregates are patched per
 /// write — the eccentricity is re-read from the histogram when the
-/// previous maximum shrank. Returns `None` when a new finite distance
+/// previous maximum shrank. Each rewritten entry is journaled when a
+/// transaction is open, except orphans the decremental phase already
+/// journaled (`del_wrote`: it rewrote this row, so its epoch stamps
+/// are this source's). Returns `None` when a new finite distance
 /// reaches the cap, otherwise whether anything changed.
 ///
 /// # Safety
@@ -1653,7 +1765,7 @@ unsafe fn add_repair_source(
     ctx: &RepairCtx,
     rs: &mut RepairScratch,
     s: usize,
-    snapshotted: bool,
+    del_wrote: bool,
 ) -> Option<bool> {
     let c = &ctx.cache;
     let max_dist = c.max_dist;
@@ -1676,8 +1788,8 @@ unsafe fn add_repair_source(
     if !seeded {
         return Some(false);
     }
-    if !snapshotted && ctx.snap {
-        snapshot_into(rs, c, s);
+    if !del_wrote && ctx.journal {
+        rs.open_seg(s);
     }
     let hist = std::slice::from_raw_parts_mut(c.hist.add(s * max_dist), max_dist);
     let wsum = &mut *c.wsum.add(s);
@@ -1698,6 +1810,9 @@ unsafe fn add_repair_source(
                 continue; // keep draining the buckets
             }
             c.set(s, xi, key as u16);
+            if ctx.journal && !(del_wrote && rs.orphan_ep[xi] == rs.ep) {
+                rs.log(s, xi, d_old);
+            }
             let kx = counts[xi];
             if d_old == INVALID_DIST {
                 // newly reachable through an added link
@@ -1729,8 +1844,9 @@ unsafe fn add_repair_source(
     }
     if ecc_dirty {
         // the histogram is current again: its highest non-empty
-        // bucket is the surviving eccentricity
-        *ecc = hist.iter().rposition(|&cnt| cnt != 0).unwrap_or(0) as u16;
+        // bucket (none lies above the ratcheted `ecc`) is the surviving
+        // eccentricity
+        *ecc = top_bucket(hist, *ecc);
     }
     Some(true)
 }
@@ -1740,18 +1856,22 @@ unsafe fn add_repair_source(
 /// `false` when a repaired distance overflowed the cap (the cache must
 /// then be released).
 fn repair_one_source(ctx: &RepairCtx, rs: &mut RepairScratch, s: usize) -> bool {
-    // SAFETY: source `s` is owned by exactly one task; everything this
-    // function writes (row `s`, aggregates of `s`, the worker-local
-    // scratch) is private to that task.
+    // SAFETY: `s < m` indexes the scan's flag array, which the
+    // evaluating thread keeps alive and read-only until the job ends.
     let flags_s = unsafe { *ctx.flags.add(s) };
     let mut changed = false;
     if ctx.dels_len > 0 && flags_s & (DEL_AFF | NO_STRICT) != 0 {
+        // SAFETY: this task is the only one holding source `s` (each
+        // repair source is one task), `rs` is this worker's own
+        // scratch, and the context pointers are live until the job
+        // ends (see `RepairCtx`).
         match unsafe { del_repair_source(ctx, rs, s) } {
             None => return false,
             Some(c) => changed = c,
         }
     }
     if ctx.adds_len > 0 {
+        // SAFETY: as for the decremental phase above.
         match unsafe { add_repair_source(ctx, rs, s, changed) } {
             None => return false,
             Some(c) => changed |= c,
@@ -1782,10 +1902,15 @@ struct JobPacket {
     rscratch: *mut RepairScratch,
 }
 
-// SAFETY: the publisher blocks until every worker finished, scratch
-// buffers are indexed per worker, and cached sweeps/repairs write
-// disjoint rows.
+// SAFETY: the publisher (`EvalPool::run`) blocks until every worker
+// finished the job and clears `PoolCtl::job` before returning, so the
+// buffers behind every pointer outlive all uses. Worker `w` writes only
+// `scratch[w]`, `rscratch[w]` and the cache rows of the sources its
+// tasks own; every task index is popped or stolen exactly once, so
+// those sources are disjoint.
 unsafe impl Send for JobPacket {}
+// SAFETY: as for `Send`: shared access writes only worker-indexed
+// scratch and task-owned rows.
 unsafe impl Sync for JobPacket {}
 
 #[derive(Debug)]
@@ -1847,8 +1972,9 @@ fn pool_process(job: &JobPacket, worker: usize, shared: &PoolShared) -> BatchSum
     let job_start = telemetry.then(Instant::now);
     let (mut busy_ns, mut pops, mut steals, mut steal_fails) = (0u64, 0u64, 0u64, 0u64);
     // SAFETY: the publisher keeps every pointer alive until the job is
-    // complete, and `scratch.add(worker)` / `rscratch.add(worker)` are
-    // this worker's exclusive buffers.
+    // complete (it blocks in `EvalPool::run`), `worker` is below the
+    // scratch vectors' length (one entry per worker), and
+    // `scratch.add(worker)` is this worker's exclusive buffer.
     let (csr, counts, srcs, scratch) = unsafe {
         (
             &*job.csr,
@@ -1860,7 +1986,8 @@ fn pool_process(job: &JobPacket, worker: usize, shared: &PoolShared) -> BatchSum
     let repair: &[u32] = if job.repair_len == 0 {
         &[]
     } else {
-        // SAFETY: as above.
+        // SAFETY: `repair` points at the publisher's `repair_buf`,
+        // which stays alive and unmutated until the job completes.
         unsafe { std::slice::from_raw_parts(job.repair, job.repair_len) }
     };
     let nbatches = srcs.len().div_ceil(64);
@@ -1880,7 +2007,10 @@ fn pool_process(job: &JobPacket, worker: usize, shared: &PoolShared) -> BatchSum
         } else {
             let s = repair[t - nbatches] as usize;
             let ctx = job.rctx.as_ref().expect("repair task without context");
-            // SAFETY: worker-indexed exclusive scratch (see above).
+            // SAFETY: `rscratch.add(worker)` is this worker's own repair
+            // scratch (one per worker, live until the job completes),
+            // and this task owns source `s` — each task index is popped
+            // or stolen exactly once.
             let rs = unsafe { &mut *job.rscratch.add(worker) };
             if !repair_one_source(ctx, rs, s) {
                 shared.overflow.store(true, Ordering::Relaxed);
@@ -2191,9 +2321,9 @@ pub struct SearchState {
     /// Pending delta split for the repair tasks, reused per evaluation.
     adds_buf: Vec<(u32, u32, u32)>,
     dels_buf: Vec<(u32, u32)>,
-    /// Reusable `(source, worker, index)` keys for the deterministic
-    /// post-job snapshot merge.
-    snap_order: Vec<(u32, u32, u32)>,
+    /// Reusable `(source, worker, segment)` keys for the deterministic
+    /// post-job journal merge.
+    journal_order: Vec<(u32, u32, u32)>,
     stats: EvalStats,
 }
 
@@ -2288,7 +2418,7 @@ impl SearchState {
             rscratch: (0..workers).map(|_| RepairScratch::default()).collect(),
             adds_buf: Vec::new(),
             dels_buf: Vec::new(),
-            snap_order: Vec::new(),
+            journal_order: Vec::new(),
             stats: EvalStats::default(),
         };
         if state.evaluate().is_none() {
@@ -2401,7 +2531,7 @@ impl SearchState {
     }
 
     /// Resident bytes of the live distance cache (row store, per-source
-    /// aggregates, and transactional snapshots). 0 when no cache is
+    /// aggregates, and transactional undo journal). 0 when no cache is
     /// provisioned or it disabled itself.
     pub fn cache_resident_bytes(&self) -> usize {
         self.cache
@@ -2446,11 +2576,11 @@ impl SearchState {
 
     /// Reverts every mutation of the innermost transaction, restoring the
     /// graph, CSR, host counts, and edge set to their state at `begin`.
-    /// The distance cache restores the snapshots of every row an
-    /// in-transaction evaluation overwrote and rewinds its pending edge
-    /// delta, so a rejected proposal leaves the cache exactly as `begin`
-    /// found it — the *next* proposal's affected set is not inflated by
-    /// the rejected one.
+    /// The distance cache replays its undo journal, restoring every
+    /// entry an in-transaction evaluation overwrote, and rewinds its
+    /// pending edge delta, so a rejected proposal leaves the cache
+    /// exactly as `begin` found it — the *next* proposal's affected set
+    /// is not inflated by the rejected one.
     pub fn rollback(&mut self) {
         let mark = self.txn_marks.pop().expect("rollback without begin");
         while self.undo.len() > mark {
@@ -2605,7 +2735,7 @@ impl SearchState {
     /// touch only their own source's row and aggregates, so the tasks
     /// are independent and the pool schedules them over its
     /// work-stealing deques in any order. All reductions (path sums,
-    /// snapshot merge) happen in deterministic sequential order
+    /// journal merge) happen in deterministic sequential order
     /// afterwards, so the result is bit-identical for any worker count.
     fn evaluate_cached(&mut self, n: u64, reject_above: Option<f64>) -> Option<EvalOutcome> {
         let in_txn = self.in_txn();
@@ -2633,12 +2763,12 @@ impl SearchState {
         let m = self.csr.len();
         let cache = self.cache.as_mut().expect("cache_active checked");
         if in_txn {
-            // Rows rewritten wholesale by re-BFS are snapshotted here;
-            // the repair path saves its rows lazily at the write sites,
+            // Rows rewritten wholesale by re-BFS are copied here; the
+            // repair path journals single entries at its write sites,
             // so conservatively-routed rows a witness protects never
-            // pay for a copy.
+            // pay for anything.
             for &s in self.rebfs_buf.iter() {
-                cache.snapshot_row(s);
+                cache.save_row(s);
             }
         }
         // split the pending delta once for every repair task
@@ -2663,7 +2793,7 @@ impl SearchState {
             adds_len: self.adds_buf.len(),
             dels: self.dels_buf.as_ptr(),
             dels_len: self.dels_buf.len(),
-            snap: in_txn,
+            journal: in_txn,
         };
         for rs in &mut self.rscratch {
             rs.ensure(m, max_dist);
@@ -2717,33 +2847,28 @@ impl SearchState {
         }
         let cache = self.cache.as_mut().expect("cache_active checked");
         if in_txn {
-            // Merge the worker-local row snapshots into the cache's
-            // stack in ascending source order — deterministic no matter
-            // which worker executed (or stole) each repair task. Within
-            // one evaluation each source is saved at most once, and
-            // across evaluations append order preserves time order, so
-            // rollback's reverse replay still restores the earliest
-            // (pre-transaction) image last.
-            self.snap_order.clear();
+            // Merge the worker-local journals into the cache's journal
+            // in ascending source order — deterministic no matter which
+            // worker executed (or stole) each repair task. Within one
+            // evaluation each source has one segment, and across
+            // evaluations append order preserves time order, so
+            // rollback's reverse replay restores the earliest
+            // (pre-transaction) value of every entry last.
+            self.journal_order.clear();
             for (w, rs) in self.rscratch.iter().enumerate() {
-                for (i, &(s, _, _)) in rs.snaps.iter().enumerate() {
-                    self.snap_order.push((s, w as u32, i as u32));
+                for (i, &(s, _)) in rs.segs.iter().enumerate() {
+                    self.journal_order.push((s, w as u32, i as u32));
                 }
             }
-            self.snap_order.sort_unstable();
-            for &(s, w, i) in &self.snap_order {
+            self.journal_order.sort_unstable();
+            for &(_, w, i) in &self.journal_order {
                 let rs = &self.rscratch[w as usize];
-                let (_, was_valid, start) = rs.snaps[i as usize];
+                let start = rs.segs[i as usize].1;
                 let end = rs
-                    .snaps
+                    .segs
                     .get(i as usize + 1)
-                    .map_or(rs.snap_rle.len(), |&(_, _, e)| e as usize);
-                cache
-                    .snap_src
-                    .push((s, was_valid, cache.snap_rle.len() as u32));
-                cache
-                    .snap_rle
-                    .extend_from_slice(&rs.snap_rle[start as usize..end]);
+                    .map_or(rs.journal.len(), |&(_, e)| e);
+                cache.journal.extend_from_slice(&rs.journal[start..end]);
             }
         }
         cache.touched = self.rscratch.iter().map(|rs| rs.touched).sum();
@@ -3162,6 +3287,133 @@ mod tests {
         assert_eq!(seq.eval_stats().repaired, par.eval_stats().repaired);
         assert!(par.eval_stats().repaired > 0, "walk exercised the repairs");
         par.check_consistency().unwrap();
+    }
+
+    /// Every cache field a rollback must restore, copied out of the
+    /// live cache (rows as logical distances).
+    #[derive(Debug, PartialEq)]
+    struct CacheImage {
+        rows: Vec<u16>,
+        valid: Vec<bool>,
+        wsum: Vec<u64>,
+        hist: Vec<u32>,
+        ecc: Vec<u16>,
+        nreach: Vec<u32>,
+    }
+
+    fn cache_image(st: &SearchState) -> CacheImage {
+        let c = st.cache.as_ref().expect("cache provisioned");
+        let m = c.m;
+        CacheImage {
+            rows: (0..m * m)
+                .map(|i| row_get(&c.store, m, i / m, i % m))
+                .collect(),
+            valid: c.valid.clone(),
+            wsum: c.wsum.clone(),
+            hist: c.hist.clone(),
+            ecc: c.ecc.clone(),
+            nreach: c.nreach.clone(),
+        }
+    }
+
+    /// Checks the journal entries since `boundary` against the rows as
+    /// they were before the evaluation (`before`): cells only (no row
+    /// images — the repaired rows pay per entry), exactly one cell per
+    /// rewritten `(source, switch)` entry, each holding that entry's
+    /// pre-image. Returns the number of cells.
+    fn assert_journal_is_cellwise(st: &SearchState, before: &CacheImage, boundary: usize) -> usize {
+        let c = st.cache.as_ref().expect("cache provisioned");
+        let m = c.m;
+        assert!(
+            c.row_images.is_empty(),
+            "a repaired row left a whole-row image"
+        );
+        let mut seen = std::collections::HashSet::new();
+        for e in &c.journal[boundary..] {
+            let CacheUndo::Cell { src, sw, old } = *e else {
+                panic!("whole-row record {e:?} in a repair-only evaluation");
+            };
+            let (s, v) = (src as usize, sw as usize);
+            assert!(seen.insert((s, v)), "entry ({s}, {v}) journaled twice");
+            assert_eq!(old, before.rows[s * m + v], "cell ({s}, {v}) pre-image");
+        }
+        for (i, (&now, &was)) in cache_image(st).rows.iter().zip(&before.rows).enumerate() {
+            if now != was {
+                assert!(
+                    seen.contains(&(i / m, i % m)),
+                    "rewrite of {i} not journaled"
+                );
+            }
+        }
+        seen.len()
+    }
+
+    #[test]
+    fn undo_journal_is_cellwise_and_rolls_back_bit_for_bit() {
+        // The 2-neighbour swing flow: swing, evaluate, stack a second
+        // swing (whose host move lands between the two evaluations),
+        // evaluate, roll both back — or fold the inner level into the
+        // outer one, whose rollback then replays both evaluations.
+        for mode in [CacheMode::Dense, CacheMode::Compressed] {
+            for workers in [1, 2] {
+                let g = random_general(1024, 256, 12, 43).unwrap();
+                let cfg = SearchConfig {
+                    cache_mode: mode,
+                    ..SearchConfig::default()
+                };
+                let mut st = SearchState::with_search(g, workers, cfg).unwrap();
+                let mut rng = ChaCha8Rng::seed_from_u64(47);
+                let (mut nested, mut cells) = (0, 0);
+                for step in 0..30 {
+                    let Some(s1) = sample_swing(st.graph(), st.edges(), &mut rng, 24) else {
+                        continue;
+                    };
+                    let outer = cache_image(&st);
+                    st.begin();
+                    st.apply_swing(s1).unwrap();
+                    st.evaluate();
+                    cells += assert_journal_is_cellwise(&st, &outer, 0);
+                    let s2 = st
+                        .graph()
+                        .neighbors(s1.c)
+                        .iter()
+                        .map(|&d| Swing {
+                            a: d,
+                            b: s1.c,
+                            c: s1.b,
+                        })
+                        .find(|s2| s2.a != s1.a && s2.a != s1.b && s2.is_valid(st.graph()));
+                    if let Some(s2) = s2 {
+                        let inner = cache_image(&st);
+                        st.begin();
+                        let boundary = st.cache.as_ref().unwrap().journal.len();
+                        st.apply_swing(s2).unwrap();
+                        st.evaluate();
+                        cells += assert_journal_is_cellwise(&st, &inner, boundary);
+                        if step % 2 == 0 {
+                            st.rollback();
+                            assert_eq!(cache_image(&st), inner, "{mode:?} w{workers}: inner");
+                        } else {
+                            st.commit();
+                        }
+                        nested += 1;
+                    }
+                    st.rollback();
+                    assert_eq!(cache_image(&st), outer, "{mode:?} w{workers}: outer");
+                }
+                assert!(
+                    nested > 10 && cells > 0,
+                    "{mode:?} w{workers}: walk too short"
+                );
+                if workers > 1 {
+                    assert!(
+                        st.eval_stats().pool_jobs > 1,
+                        "repairs never reached the pool"
+                    );
+                }
+                st.check_consistency().unwrap();
+            }
+        }
     }
 
     #[test]

@@ -1,9 +1,7 @@
 //! The unified end-to-end ORP solver (§5.3), builder style.
 //!
-//! [`Solver::builder`] replaces the former free functions `solve_orp`,
-//! `solve_orp_multi` and `solve_orp_multi_report` with one surface,
-//! consistent with [`crate::anneal::Anneal`] and
-//! [`crate::temper::Temper`]: pick `m = m_opt` from the continuous
+//! [`Solver::builder`] is the one solve surface, consistent with
+//! [`crate::anneal::Anneal`] and [`crate::temper::Temper`]: pick `m = m_opt` from the continuous
 //! Moore bound, then run either independently seeded restarts of the
 //! annealer or a parallel-tempering ensemble (when
 //! [`Solver::replicas`] `> 1`), with per-restart checkpoints, resume,
@@ -401,8 +399,8 @@ mod tests {
 
     #[test]
     fn single_restart_matches_plain_anneal() {
-        // The builder with defaults reproduces the historical
-        // `solve_orp` pipeline bit-for-bit.
+        // The builder with defaults reproduces a plain anneal at
+        // `m_opt` bit-for-bit.
         let cfg = small_cfg(300);
         let report = Solver::builder(64, 10).config(cfg.clone()).run().unwrap();
         let (m_opt, _) = optimal_switch_count(64, 10);
