@@ -160,7 +160,7 @@ fn sim_row(bench: Benchmark, iters: usize, reps: usize, dir: &std::path::Path) -
 }
 
 fn main() {
-    let quick = std::env::var("ORP_BENCH_QUICK").map_or(false, |v| v == "1");
+    let quick = std::env::var("ORP_BENCH_QUICK").is_ok_and(|v| v == "1");
     let dir = std::env::temp_dir().join(format!("orp-ckpt-bench-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create ckpt dir");
     let (sa_iters, sim_iters, reps) = if quick { (2000, 4, 3) } else { (12000, 24, 7) };

@@ -4,18 +4,13 @@
 //! change and is quadratic at this scale — the whole point of the
 //! pluggable model).
 //!
-//! Writes `results/BENCH_eventsim.json` with one row per
-//! (flow count × worker count): makespan, event-queue throughput
-//! (events/sec of wall time), peak queue depth, compaction counters,
-//! the cancellation (tombstone) ratio, and the process peak RSS.
-//! Every multi-worker run is asserted **bit-identical** to the
-//! single-worker run of the same flow count (the deterministic parallel
-//! schedule's contract). Knobs:
+//! Writes `results/BENCH_eventsim.json` with one row per flow count:
+//! makespan, event-queue throughput (events/sec of wall time), peak
+//! queue depth, compaction counters, the cancellation (tombstone)
+//! ratio, and the process peak RSS. Knobs:
 //!
 //! * `ORP_EVENTSIM_FLOWS` — comma-separated injected flow counts
 //!   (default `120000,1000000`).
-//! * `ORP_EVENTSIM_WORKERS` — comma-separated worker counts
-//!   (default `1,2`).
 //! * `ORP_EVENTSIM_HOSTS` — fabric size (default 256 hosts; switches
 //!   and radix scale with it).
 //! * `ORP_EVENTSIM_SEED` — workload RNG seed (default 42).
@@ -26,7 +21,7 @@
 use orp_bench::write_json;
 use orp_core::construct::random_general;
 use orp_netsim::network::Network;
-use orp_netsim::{InjectedFlow, SharingMode, SimReport, Simulator};
+use orp_netsim::{InjectedFlow, SharingMode, Simulator};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::Serialize;
@@ -35,7 +30,6 @@ use std::time::Instant;
 #[derive(Debug, Serialize)]
 struct Row {
     injected_flows: usize,
-    workers: usize,
     /// Peak simultaneously streaming flows (the scale acceptance bar).
     peak_concurrent_flows: usize,
     sim_time_s: f64,
@@ -103,26 +97,8 @@ fn peak_rss_bytes() -> u64 {
     0
 }
 
-/// Panics unless the two reports agree bit-for-bit on every
-/// non-advisory field (compaction counters legitimately vary with the
-/// execution strategy).
-fn assert_bit_identical(a: &SimReport, b: &SimReport, what: &str) {
-    assert_eq!(a.time.to_bits(), b.time.to_bits(), "{what}: time");
-    assert_eq!(a.flows, b.flows, "{what}: flows");
-    assert_eq!(a.bytes.to_bits(), b.bytes.to_bits(), "{what}: bytes");
-    assert_eq!(a.peak_flows, b.peak_flows, "{what}: peak_flows");
-    assert_eq!(a.flops.to_bits(), b.flops.to_bits(), "{what}: flops");
-    assert_eq!(a.events, b.events, "{what}: events");
-    assert_eq!(a.events_cancelled, b.events_cancelled, "{what}: cancels");
-    assert_eq!(
-        a.peak_queue_depth, b.peak_queue_depth,
-        "{what}: peak_queue_depth"
-    );
-}
-
 fn main() {
     let flow_counts = env_list("ORP_EVENTSIM_FLOWS", &[120_000, 1_000_000]);
-    let worker_counts = env_list("ORP_EVENTSIM_WORKERS", &[1, 2]);
     let hosts: u32 = env_num("ORP_EVENTSIM_HOSTS", 256);
     let seed: u64 = env_num("ORP_EVENTSIM_SEED", 42);
     let budget_s: f64 = env_num("ORP_EVENTSIM_BUDGET_S", 300.0);
@@ -156,75 +132,63 @@ fn main() {
             })
             .collect();
 
-        let mut baseline: Option<SimReport> = None;
-        for &workers in &worker_counts {
-            let start = Instant::now();
-            let rep = Simulator::builder(&net)
-                .inject(&flows)
-                .sharing(SharingMode::ApproxFair)
-                .workers(workers)
-                .run()
-                .expect("open-loop run completes");
-            let wall = start.elapsed().as_secs_f64();
-            match &baseline {
-                None => baseline = Some(rep),
-                Some(base) => {
-                    assert_bit_identical(base, &rep, &format!("{n_flows} flows, workers={workers}"))
-                }
-            }
-            let scheduled = rep.events + rep.events_cancelled;
-            let row = Row {
-                injected_flows: n_flows,
-                workers,
-                peak_concurrent_flows: rep.peak_flows,
-                sim_time_s: rep.time,
-                wall_time_s: wall,
-                events_processed: rep.events,
-                events_cancelled: rep.events_cancelled,
-                events_per_sec: rep.events as f64 / wall.max(1e-9),
-                peak_queue_depth: rep.peak_queue_depth,
-                events_compacted: rep.events_compacted + rep.model_compacted,
-                tombstone_ratio: rep.events_cancelled as f64 / (scheduled as f64).max(1.0),
-                peak_rss_bytes: peak_rss_bytes(),
-            };
-            println!(
-                "eventsim: {} flows x {} worker(s) (peak {} concurrent) in {:.2}s wall — \
-                 {:.0} events/s, peak queue depth {}, {} compacted \
-                 (tombstone ratio {:.3}), peak RSS {} MiB, simulated {:.4}s",
-                row.injected_flows,
-                row.workers,
-                row.peak_concurrent_flows,
-                row.wall_time_s,
-                row.events_per_sec,
-                row.peak_queue_depth,
-                row.events_compacted,
-                row.tombstone_ratio,
-                row.peak_rss_bytes >> 20,
-                row.sim_time_s
-            );
-            assert_eq!(rep.flows as usize, n_flows, "every injected flow ran");
-            if n_flows >= 100_000 {
-                assert!(
-                    row.peak_concurrent_flows >= 100_000,
-                    "scenario must reach 100k concurrent flows (peak {})",
-                    row.peak_concurrent_flows
-                );
-            }
-            if n_flows >= 10_000 {
-                // the workload is cancel-heavy by construction: lazy
-                // tombstones must actually be reclaimed, not accumulated
-                assert!(
-                    row.events_compacted > 0,
-                    "cancel-heavy run must compact ({} cancelled)",
-                    rep.events_cancelled
-                );
-            }
+        let start = Instant::now();
+        let rep = Simulator::builder(&net)
+            .inject(&flows)
+            .sharing(SharingMode::ApproxFair)
+            .run()
+            .expect("open-loop run completes");
+        let wall = start.elapsed().as_secs_f64();
+        let scheduled = rep.events + rep.events_cancelled;
+        let row = Row {
+            injected_flows: n_flows,
+            peak_concurrent_flows: rep.peak_flows,
+            sim_time_s: rep.time,
+            wall_time_s: wall,
+            events_processed: rep.events,
+            events_cancelled: rep.events_cancelled,
+            events_per_sec: rep.events as f64 / wall.max(1e-9),
+            peak_queue_depth: rep.peak_queue_depth,
+            events_compacted: rep.events_compacted + rep.model_compacted,
+            tombstone_ratio: rep.events_cancelled as f64 / (scheduled as f64).max(1.0),
+            peak_rss_bytes: peak_rss_bytes(),
+        };
+        println!(
+            "eventsim: {} flows (peak {} concurrent) in {:.2}s wall — \
+             {:.0} events/s, peak queue depth {}, {} compacted \
+             (tombstone ratio {:.3}), peak RSS {} MiB, simulated {:.4}s",
+            row.injected_flows,
+            row.peak_concurrent_flows,
+            row.wall_time_s,
+            row.events_per_sec,
+            row.peak_queue_depth,
+            row.events_compacted,
+            row.tombstone_ratio,
+            row.peak_rss_bytes >> 20,
+            row.sim_time_s
+        );
+        assert_eq!(rep.flows as usize, n_flows, "every injected flow ran");
+        if n_flows >= 100_000 {
             assert!(
-                wall <= budget_s,
-                "wall-clock budget exceeded: {wall:.1}s > {budget_s}s"
+                row.peak_concurrent_flows >= 100_000,
+                "scenario must reach 100k concurrent flows (peak {})",
+                row.peak_concurrent_flows
             );
-            rows.push(row);
         }
+        if n_flows >= 10_000 {
+            // the workload is cancel-heavy by construction: lazy
+            // tombstones must actually be reclaimed, not accumulated
+            assert!(
+                row.events_compacted > 0,
+                "cancel-heavy run must compact ({} cancelled)",
+                rep.events_cancelled
+            );
+        }
+        assert!(
+            wall <= budget_s,
+            "wall-clock budget exceeded: {wall:.1}s > {budget_s}s"
+        );
+        rows.push(row);
     }
 
     let bench = EventSimBench {

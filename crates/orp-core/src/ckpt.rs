@@ -29,7 +29,6 @@
 
 use std::fmt;
 use std::fs;
-use std::io::Write as _;
 use std::path::Path;
 
 /// File magic: identifies an orp checkpoint regardless of kind.
@@ -354,34 +353,11 @@ impl<'a> Decoder<'a> {
 // Atomic file writes
 // ---------------------------------------------------------------------
 
-/// Writes `bytes` to `path` atomically: the data goes to a sibling
-/// `.tmp` file, is `fsync`ed, then `rename`d over the destination.
-/// Readers (and a resumed run) therefore see either the previous
-/// complete file or the new complete file — never a torn write.
-///
-/// Used by every artifact writer in the workspace (checkpoints,
-/// `results/*.json`, saved `.hsg` graphs, exported traces).
+/// [`orp_obs::atomic_write`] with its I/O error mapped to [`CkptError`]:
+/// sibling temp file, `fsync`, then `rename`, so readers never see a
+/// torn write.
 pub fn atomic_write(path: &Path, bytes: &[u8]) -> Result<(), CkptError> {
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(".tmp");
-    let tmp = std::path::PathBuf::from(tmp);
-    {
-        let mut f = fs::File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_all()?;
-    }
-    if let Err(e) = fs::rename(&tmp, path) {
-        let _ = fs::remove_file(&tmp);
-        return Err(e.into());
-    }
-    // Persist the rename itself; failure here (e.g. on filesystems that
-    // do not allow opening a directory) does not invalidate the data.
-    if let Some(dir) = path.parent() {
-        if let Ok(d) = fs::File::open(dir) {
-            let _ = d.sync_all();
-        }
-    }
-    Ok(())
+    Ok(orp_obs::atomic_write(path, bytes)?)
 }
 
 // ---------------------------------------------------------------------

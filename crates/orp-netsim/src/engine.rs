@@ -20,7 +20,6 @@
 use crate::context::SimContext;
 use crate::event::{time_sort_bits, Event, TimeKey};
 use crate::network::{LinkId, Network};
-use crate::parallel::{StageItem, StageOut, StagePool};
 use crate::queue::EventQueue;
 use crate::rank::{BlockedRank, Ranks, Step};
 use crate::sharing::{
@@ -31,7 +30,6 @@ use orp_core::graph::Host;
 use orp_core::watchdog::{WatchSource, Watchdog, WatchdogConfig};
 use orp_obs::{Event as ObsEvent, FaultKind, FlowStage, Recorder, StreamSink};
 use orp_route::RoutingTable;
-use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
@@ -213,22 +211,6 @@ pub struct InjectedFlow {
     pub bytes: f64,
 }
 
-/// One speculatively pre-routed injection, produced by a worker-pool
-/// staging pass running ahead of the injection cursor and consumed —
-/// after validation — when the cursor releases that injection (see
-/// `Simulator::stage_injections`).
-#[derive(Debug)]
-struct StagedInject {
-    /// Index into the injection list this entry was staged for.
-    inj: u32,
-    /// The flow-sequence hash the route was computed under (the value
-    /// `flow_seq` must step to at release); 0 for degenerate same-host
-    /// injections, which consume no sequence number.
-    hash: u64,
-    /// Staged routing outcome; `None` for degenerate injections.
-    out: Option<StageOut>,
-}
-
 /// Simulation outcome.
 #[derive(Debug, Clone, Copy)]
 pub struct SimReport {
@@ -251,9 +233,9 @@ pub struct SimReport {
     pub peak_queue_depth: usize,
     /// Tombstoned heap keys the event queue reclaimed by compaction.
     ///
-    /// Advisory: the count depends on the execution strategy (worker
-    /// count, resume points) even when the simulation outcome is
-    /// bit-identical, so it is excluded from bit-identity comparisons.
+    /// Advisory: the count depends on where a run was resumed even when
+    /// the simulation outcome is bit-identical, so it is excluded from
+    /// bit-identity comparisons.
     pub events_compacted: u64,
     /// Tombstoned per-link heap entries the sharing model reclaimed by
     /// compaction (advisory, like [`events_compacted`]).
@@ -272,20 +254,8 @@ pub struct Simulator<'a> {
     ranks: Ranks,
     flows: Vec<Flow>,
     model: Box<dyn ThroughputSharingModel>,
-    sharing: SharingMode,
     queue: EventQueue<Event>,
     now: f64,
-    // deterministic parallel staging (see DESIGN.md §9)
-    workers: usize,
-    stage_pool: Option<StagePool>,
-    /// Speculative route cache filled by `stage_injections`, consumed
-    /// front-to-back as the cursor releases injections; cleared
-    /// whenever the routing snapshot changes (a fault strikes).
-    staged: VecDeque<StagedInject>,
-    /// Scratch: items handed to the staging pool this window.
-    stage_items: Vec<StageItem>,
-    /// Scratch: per-item staging results, committed in order.
-    stage_outs: Vec<Option<StageOut>>,
     // stats
     total_flows: u64,
     total_bytes: f64,
@@ -374,7 +344,6 @@ pub struct SimulatorBuilder<'a> {
     faults: Vec<FaultEvent>,
     injections: Vec<InjectedFlow>,
     sharing: SharingMode,
-    workers: usize,
     rec: Option<Recorder>,
     ckpt: Option<PathBuf>,
     ckpt_every: u64,
@@ -434,18 +403,9 @@ impl<'a> SimulatorBuilder<'a> {
         self
     }
 
-    /// Pre-routes safe injection windows across `n` worker lanes
-    /// (defaults to 1 — fully sequential). The parallel schedule is
-    /// *deterministic*: workers only compute pure per-injection routes
-    /// ahead of time, the event loop stays sequential and commits in
-    /// exact `(time, seq)` order after validating every staged entry,
-    /// so the final [`SimReport`] is bit-identical at any worker count
-    /// (asserted by the `parallel_determinism` proptest and the CI
-    /// smoke). Only [`SharingMode::ApproxFair`] currently has a
-    /// parallel-safe window (open-loop injection bursts); other modes
-    /// accept the setting and run sequentially.
-    pub fn workers(mut self, n: usize) -> Self {
-        self.workers = n.max(1);
+    /// No-op, kept only for `perf_ledger`'s `.workers(1)` call: drop both together.
+    #[deprecated(note = "the simulator is sequential; this setting does nothing")]
+    pub fn workers(self, _n: usize) -> Self {
         self
     }
 
@@ -529,7 +489,6 @@ impl<'a> SimulatorBuilder<'a> {
         for fe in &self.faults {
             sim.schedule_fault(fe.time, fe.fault);
         }
-        sim.workers = self.workers;
         sim.ckpt_path = self.ckpt;
         sim.ckpt_every = self.ckpt_every;
         sim.resume_from = self.resume_from;
@@ -557,7 +516,6 @@ impl<'a> Simulator<'a> {
             faults: Vec::new(),
             injections: Vec::new(),
             sharing: SharingMode::default(),
-            workers: 1,
             rec: None,
             ckpt: None,
             ckpt_every: SIM_CKPT_EVERY_DEFAULT,
@@ -598,14 +556,8 @@ impl<'a> Simulator<'a> {
             ranks: Ranks::new(programs),
             flows: Vec::new(),
             model: make_model(sharing, nl, net.config().bandwidth),
-            sharing,
             queue: EventQueue::new(),
             now: 0.0,
-            workers: 1,
-            stage_pool: None,
-            staged: VecDeque::new(),
-            stage_items: Vec::new(),
-            stage_outs: Vec::new(),
             total_flows: 0,
             total_bytes: 0.0,
             total_flops: 0.0,
@@ -776,10 +728,7 @@ impl<'a> Simulator<'a> {
 
     /// Releases the open-loop injection at cursor position `pos` (its
     /// release time has come up in the `(time, seq)` merge with the
-    /// event queue). Uses the speculative route cache when its front
-    /// entry matches this injection *and* the flow-sequence hash it was
-    /// staged under; any mismatch discards the whole cache and falls
-    /// back to inline routing — correctness never depends on staging.
+    /// event queue).
     fn release_injection(&mut self, pos: usize) -> Result<(), SimError> {
         let idx = self.inj_order[pos];
         self.queue.note_external_processed();
@@ -791,121 +740,20 @@ impl<'a> Simulator<'a> {
         if inj.src == inj.dst {
             // degenerate same-host demand: delivered by definition,
             // consumes no flow sequence number
-            match self.staged.pop_front() {
-                Some(s) if s.inj == idx && s.hash == 0 => {}
-                Some(_) => self.staged.clear(),
-                None => {}
-            }
             self.injected_live -= 1;
             return Ok(());
         }
         self.flow_seq += 1;
         let hash = self.flow_seq;
-        let staged = match self.staged.pop_front() {
-            Some(s) if s.inj == idx && s.hash == hash => s.out,
-            Some(_) => {
-                self.staged.clear();
-                None
-            }
-            None => None,
-        };
-        let route = match staged {
-            Some(Ok(route)) => RouteBuf::from_slice(&route),
-            Some(Err(())) => return Err(self.partitioned(vec![inj.src, inj.dst])),
-            None => {
-                // route into a reused scratch so the open-loop hot path
-                // allocates nothing per flow (short routes then land in
-                // the flow record's inline arm)
-                let mut scratch = std::mem::take(&mut self.route_scratch);
-                let res =
-                    self.route_hosts_into(inj.src, inj.dst, hash, [inj.src, inj.dst], &mut scratch);
-                let route = res.map(|()| RouteBuf::from_slice(&scratch));
-                self.route_scratch = scratch;
-                route?
-            }
-        };
-        self.create_flow(route, inj.src, inj.dst, inj.bytes, hash, true);
+        // route into a reused scratch so the open-loop hot path
+        // allocates nothing per flow (short routes then land in the
+        // flow record's inline arm)
+        let mut scratch = std::mem::take(&mut self.route_scratch);
+        let res = self.route_hosts_into(inj.src, inj.dst, hash, [inj.src, inj.dst], &mut scratch);
+        let route = res.map(|()| RouteBuf::from_slice(&scratch));
+        self.route_scratch = scratch;
+        self.create_flow(route?, inj.src, inj.dst, inj.bytes, hash, true);
         Ok(())
-    }
-
-    /// Speculatively pre-routes the run of upcoming injections starting
-    /// at cursor position `from` across the worker pool, filling the
-    /// `staged` cache [`release_injection`](Self::release_injection)
-    /// consumes.
-    ///
-    /// This is a *pure prefetch*: routing is a pure function of
-    /// `(topology, fault table, ECMP hash)`, the pass predicts the exact
-    /// flow-sequence hash each injection will draw at release, and the
-    /// release path validates that prediction (and the routing snapshot,
-    /// via [`apply_fault`](Self::apply_fault) clearing the cache) before
-    /// trusting a staged route. The main event loop stays fully
-    /// sequential, so the simulation outcome is bit-identical at any
-    /// worker count — by construction, not by scheduling argument.
-    ///
-    /// The window covers injections released within `message_delay(1)`
-    /// of the first one (anything a release can schedule lands at least
-    /// that far out, so the flows spawned by the window itself cannot
-    /// order between its members), capped to bound cache growth.
-    fn stage_injections(&mut self, from: usize) {
-        /// Upper bound on one staging window (keeps the staged cache and
-        /// the per-window scratch small regardless of burst size).
-        const MAX_WINDOW: usize = 4096;
-        debug_assert!(self.staged.is_empty(), "stage only into an empty cache");
-        let end = self.injections[self.inj_order[from] as usize].at + self.net.message_delay(1);
-        let mut items = std::mem::take(&mut self.stage_items);
-        items.clear();
-        let mut hash = self.flow_seq;
-        for (k, &idx) in self.inj_order[from..].iter().take(MAX_WINDOW).enumerate() {
-            let inj = self.injections[idx as usize];
-            if k > 0 && inj.at >= end {
-                break;
-            }
-            if inj.src == inj.dst {
-                self.staged.push_back(StagedInject {
-                    inj: idx,
-                    hash: 0,
-                    out: None,
-                });
-            } else {
-                hash += 1;
-                self.staged.push_back(StagedInject {
-                    inj: idx,
-                    hash,
-                    // placeholder, overwritten from the staging pass below
-                    out: Some(Err(())),
-                });
-                items.push(StageItem {
-                    src: inj.src,
-                    dst: inj.dst,
-                    hash,
-                });
-            }
-        }
-        let mut outs = std::mem::take(&mut self.stage_outs);
-        outs.clear();
-        outs.resize_with(items.len(), || None);
-        self.stage_pool
-            .as_ref()
-            .expect("staging implies a pool")
-            .stage(
-                self.net,
-                &self.fault_table,
-                &self.dead_host,
-                &items,
-                &mut outs,
-            );
-        let mut k = 0;
-        for s in self.staged.iter_mut() {
-            if s.out.is_some() {
-                s.out = outs[k].take();
-                debug_assert!(s.out.is_some(), "staging fills every slot");
-                k += 1;
-            }
-        }
-        items.clear();
-        outs.clear();
-        self.stage_items = items;
-        self.stage_outs = outs;
     }
 
     /// Marks one message from `src` delivered at `dst`, waking the blocked
@@ -1062,9 +910,6 @@ impl<'a> Simulator<'a> {
     /// pending flows just swap routes.
     fn apply_fault(&mut self, fault: NetFault) -> Result<(), SimError> {
         self.faults_struck += 1;
-        // speculative routes were computed against the pre-fault
-        // snapshot; the next release restages against the rebuilt table
-        self.staged.clear();
         if self.rec.is_enabled() {
             self.rec.incr("sim.faults", 1);
             self.rec.emit(match fault {
@@ -1372,18 +1217,6 @@ impl<'a> Simulator<'a> {
         );
         self.rec
             .gauge("sim.events_compacted", self.queue.compacted() as f64);
-        if let Some(pool) = &self.stage_pool {
-            for (k, s) in pool.stats().iter().enumerate() {
-                self.rec.gauge_dyn(
-                    &format!("sim.w{k}.staged"),
-                    s.staged.load(std::sync::atomic::Ordering::Relaxed) as f64,
-                );
-                self.rec.gauge_dyn(
-                    &format!("sim.w{k}.busy_ms"),
-                    s.busy_ns.load(std::sync::atomic::Ordering::Relaxed) as f64 / 1e6,
-                );
-            }
-        }
     }
 
     /// Executes the programs (and injected flows) to completion.
@@ -1435,18 +1268,6 @@ impl<'a> Simulator<'a> {
             .collect();
         keyed.sort_unstable();
         self.inj_order = keyed.into_iter().map(|(_, i)| i).collect();
-        // Injection routing is the only per-event work pure enough to
-        // prefetch so far, and only under the approximate model (the
-        // exact model re-solves a global allocation around every
-        // release, so there is nothing independent to precompute). A
-        // zero lookahead (both latency constants zero) leaves no
-        // conservative window to batch.
-        let staging = self.workers > 1
-            && self.sharing == SharingMode::ApproxFair
-            && self.net.message_delay(1) > 0.0;
-        if staging && self.stage_pool.is_none() {
-            self.stage_pool = Some(StagePool::new(self.workers));
-        }
         let watchdog = self.watchdog.map(|window| {
             Watchdog::spawn(
                 WatchdogConfig::new(window).source(WatchSource::Sim),
@@ -1553,9 +1374,6 @@ impl<'a> Simulator<'a> {
                 };
                 if take_inj {
                     let pos = self.inj_next;
-                    if staging && self.staged.is_empty() {
-                        self.stage_injections(pos);
-                    }
                     self.inj_next += 1;
                     self.release_injection(pos)?;
                     continue;
@@ -2694,13 +2512,13 @@ mod tests {
             .programs(programs.clone())
             .run()
             .unwrap();
-        let staged = Simulator::builder(&net)
+        let two_step = Simulator::builder(&net)
             .programs(programs.clone())
             .build()
             .run()
             .unwrap();
-        assert_eq!(staged.time, built.time);
-        assert_eq!(staged.flows, built.flows);
+        assert_eq!(two_step.time, built.time);
+        assert_eq!(two_step.flows, built.flows);
         let placed = Simulator::builder(&net)
             .programs(programs.clone())
             .placement(vec![0, 1, 2, 3])

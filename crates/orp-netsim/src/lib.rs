@@ -63,7 +63,6 @@ pub mod mpi;
 pub mod network;
 pub mod npb;
 pub mod packet;
-mod parallel;
 pub mod patterns;
 pub mod queue;
 mod rank;

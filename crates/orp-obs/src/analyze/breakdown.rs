@@ -131,10 +131,12 @@ mod tests {
 
     #[test]
     fn attribution_telescopes_to_the_makespan() {
-        let mut data = TraceData::default();
-        data.flows = vec![flow(0, 0.0, 10.0), flow(1, 12.0, 20.0), flow(2, 0.0, 5.0)];
-        data.deps = vec![(1, 0)];
-        data.completed_time = Some(21.0);
+        let data = TraceData {
+            flows: vec![flow(0, 0.0, 10.0), flow(1, 12.0, 20.0), flow(2, 0.0, 5.0)],
+            deps: vec![(1, 0)],
+            completed_time: Some(21.0),
+            ..Default::default()
+        };
         let a = attribute(&data).unwrap();
         assert_eq!(a.path_flows, 2);
         assert_eq!(a.makespan, 21.0);

@@ -125,38 +125,39 @@ mod tests {
     use crate::analyze::FlowRecord;
 
     fn trace(scale: f64) -> TraceData {
-        let mut data = TraceData::default();
-        data.flows = vec![
-            FlowRecord {
-                id: 0,
-                src: 0,
-                dst: 1,
-                bytes: 1.0,
-                hops: 2,
-                created: 0.0,
-                completed: 10.0 * scale,
-                propagation: 2.0 * scale,
-                serialization: 5.0 * scale,
-                queueing: 2.0 * scale,
-                stall: 1.0 * scale,
-            },
-            FlowRecord {
-                id: 1,
-                src: 1,
-                dst: 0,
-                bytes: 1.0,
-                hops: 2,
-                created: 11.0 * scale,
-                completed: 20.0 * scale,
-                propagation: 2.0 * scale,
-                serialization: 5.0 * scale,
-                queueing: 1.0 * scale,
-                stall: 1.0 * scale,
-            },
-        ];
-        data.deps = vec![(1, 0)];
-        data.completed_time = Some(20.0 * scale);
-        data
+        TraceData {
+            flows: vec![
+                FlowRecord {
+                    id: 0,
+                    src: 0,
+                    dst: 1,
+                    bytes: 1.0,
+                    hops: 2,
+                    created: 0.0,
+                    completed: 10.0 * scale,
+                    propagation: 2.0 * scale,
+                    serialization: 5.0 * scale,
+                    queueing: 2.0 * scale,
+                    stall: 1.0 * scale,
+                },
+                FlowRecord {
+                    id: 1,
+                    src: 1,
+                    dst: 0,
+                    bytes: 1.0,
+                    hops: 2,
+                    created: 11.0 * scale,
+                    completed: 20.0 * scale,
+                    propagation: 2.0 * scale,
+                    serialization: 5.0 * scale,
+                    queueing: 1.0 * scale,
+                    stall: 1.0 * scale,
+                },
+            ],
+            deps: vec![(1, 0)],
+            completed_time: Some(20.0 * scale),
+            ..Default::default()
+        }
     }
 
     #[test]

@@ -267,39 +267,40 @@ mod tests {
     use crate::analyze::{FlowRecord, LinkRecord, SpanInfo};
 
     fn populated() -> TraceData {
-        let mut data = TraceData::default();
-        data.flows = vec![FlowRecord {
-            id: 0,
-            src: 0,
-            dst: 1,
-            bytes: 64.0,
-            hops: 3,
-            created: 0.0,
-            completed: 0.01,
-            propagation: 0.004,
-            serialization: 0.003,
-            queueing: 0.002,
-            stall: 0.001,
-        }];
-        data.links = vec![LinkRecord {
-            link: 4,
-            a: 0,
-            b: 1,
-            kind: 2,
-            bytes: 64.0,
-            util_ppm: 500_000.0,
-            avg_flows: 1.5,
-            peak_flows: 2,
-        }];
-        data.spans = vec![SpanInfo {
-            name: "sim.run".into(),
-            start_us: 0,
-            dur_us: 120,
-            tid: 0,
-        }];
-        data.counters = vec![("sim.flows".into(), 1.0)];
-        data.completed_time = Some(0.01);
-        data
+        TraceData {
+            flows: vec![FlowRecord {
+                id: 0,
+                src: 0,
+                dst: 1,
+                bytes: 64.0,
+                hops: 3,
+                created: 0.0,
+                completed: 0.01,
+                propagation: 0.004,
+                serialization: 0.003,
+                queueing: 0.002,
+                stall: 0.001,
+            }],
+            links: vec![LinkRecord {
+                link: 4,
+                a: 0,
+                b: 1,
+                kind: 2,
+                bytes: 64.0,
+                util_ppm: 500_000.0,
+                avg_flows: 1.5,
+                peak_flows: 2,
+            }],
+            spans: vec![SpanInfo {
+                name: "sim.run".into(),
+                start_us: 0,
+                dur_us: 120,
+                tid: 0,
+            }],
+            counters: vec![("sim.flows".into(), 1.0)],
+            completed_time: Some(0.01),
+            ..Default::default()
+        }
     }
 
     #[test]
@@ -337,8 +338,10 @@ mod tests {
 
     #[test]
     fn flowless_report_is_still_non_empty() {
-        let mut data = TraceData::default();
-        data.dropped_events = 3;
+        let data = TraceData {
+            dropped_events: 3,
+            ..Default::default()
+        };
         let text = render_report(&data, 5);
         assert!(text.contains("no flow.done records"));
         assert!(text.contains("WARNING"));

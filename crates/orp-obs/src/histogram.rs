@@ -189,7 +189,9 @@ mod tests {
         // extremes
         assert_eq!(bucket_index(0), 0);
         let top = bucket_index(u64::MAX);
-        assert!(bucket_low(top) <= u64::MAX);
+        assert_eq!(bucket_index(bucket_low(top)), top);
+        // the module's promise: the full u64 range fits under 2k buckets
+        assert!(top < 2048, "top bucket {top}");
     }
 
     #[test]

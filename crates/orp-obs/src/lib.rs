@@ -57,7 +57,7 @@ pub mod stream;
 pub use event::{Event, FaultKind, FlowStage};
 pub use histogram::{Histogram, HistogramSummary};
 pub use journal::{Journal, TimedEvent};
-pub use recorder::{ObsConfig, Recorder, Span};
+pub use recorder::{atomic_write, ObsConfig, Recorder, Span};
 pub use sink::{ChromeTrace, JsonSummary, Sink, TextProgress};
 pub use snapshot::{SeriesPoint, Snapshot, SpanRecord};
 pub use stream::{

@@ -409,10 +409,15 @@ impl Recorder {
     }
 }
 
-/// Crash-safe file write: stage in a sibling `.tmp`, fsync, rename.
-/// (A local copy of `orp_core::ckpt::atomic_write` — this crate sits
-/// below `orp-core` in the dependency graph and cannot call it.)
-fn atomic_write(path: &std::path::Path, bytes: &[u8]) -> std::io::Result<()> {
+/// Writes `bytes` to `path` atomically: the data goes to a sibling
+/// `.tmp` file, is `fsync`ed, then `rename`d over the destination.
+/// Readers (and a resumed run) therefore see either the previous
+/// complete file or the new complete file — never a torn write.
+///
+/// The one implementation behind every artifact writer in the workspace
+/// (checkpoints, `results/*.json`, saved `.hsg` graphs, exported traces);
+/// it lives here because this is the lowest crate that writes files.
+pub fn atomic_write(path: &std::path::Path, bytes: &[u8]) -> std::io::Result<()> {
     use std::io::Write as _;
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");
@@ -426,6 +431,8 @@ fn atomic_write(path: &std::path::Path, bytes: &[u8]) -> std::io::Result<()> {
         let _ = std::fs::remove_file(&tmp);
         return Err(e);
     }
+    // Persist the rename itself; failure here (e.g. on filesystems that
+    // do not allow opening a directory) does not invalidate the data.
     if let Some(dir) = path.parent() {
         if let Ok(d) = std::fs::File::open(dir) {
             let _ = d.sync_all();

@@ -20,13 +20,11 @@
 //! orp compare <n> <r>                  ORP vs torus/dragonfly/fat-tree table
 //! orp simulate <file.hsg> [bench] [iters] [--trace t.json] [--metrics m.jsonl]
 //!             [--checkpoint ck.orp] [--resume] [--watchdog secs]
-//!             [--sharing exact|approx] [--workers n] [--inject flows] [--seed s]
+//!             [--sharing exact|approx] [--inject flows] [--seed s]
 //!                                      run an NPB kernel on a saved graph;
 //!                                      --trace records flow/hop telemetry;
 //!                                      --metrics streams live progress gauges;
 //!                                      --checkpoint/--resume work as for solve;
-//!                                      --workers stages event windows across
-//!                                      threads (bit-identical at any count);
 //!                                      --inject N replaces the kernel with an
 //!                                      open-loop random workload of N flows
 //! orp watch   <m.jsonl> [--once] [--interval ms]
@@ -95,6 +93,20 @@ fn split_value_flag(args: &[String], flag: &str) -> Result<(Option<String>, Vec<
     Ok((value, pos))
 }
 
+/// Rejects what is left after a subcommand split off its known flags:
+/// any `--flag` it does not know and any positional past the `max` it
+/// takes. Run by every subcommand so a mistyped or removed option fails
+/// loudly instead of being silently ignored.
+fn check_leftover(pos: &[String], max: usize, usage: &str) -> Result<(), String> {
+    if let Some(flag) = pos.iter().find(|a| a.starts_with("--")) {
+        return Err(format!("unknown option {flag}\n{usage}"));
+    }
+    if let Some(extra) = pos.get(max) {
+        return Err(format!("unexpected argument {extra}\n{usage}"));
+    }
+    Ok(())
+}
+
 /// A recorder sized for full-fidelity trace export: NPB runs at n=128
 /// emit hundreds of thousands of flow/hop events, far past the default
 /// journal ring.
@@ -106,14 +118,10 @@ fn trace_recorder() -> Recorder {
 }
 
 fn cmd_bounds(args: &[String]) -> Result<(), String> {
-    let n: u64 = args
-        .first()
-        .and_then(|a| a.parse().ok())
-        .ok_or("usage: orp bounds <n> <r>")?;
-    let r: u64 = args
-        .get(1)
-        .and_then(|a| a.parse().ok())
-        .ok_or("usage: orp bounds <n> <r>")?;
+    let usage = "usage: orp bounds <n> <r>";
+    check_leftover(args, 2, usage)?;
+    let n: u64 = args.first().and_then(|a| a.parse().ok()).ok_or(usage)?;
+    let r: u64 = args.get(1).and_then(|a| a.parse().ok()).ok_or(usage)?;
     let (m_opt, a_opt) = optimal_switch_count(n, r);
     println!("order n = {n}, radix r = {r}");
     println!(
@@ -147,6 +155,7 @@ fn cmd_solve(args: &[String]) -> Result<(), String> {
     let (exchange_every, pos) = split_value_flag(&pos, "--exchange-every")?;
     let resume = pos.iter().any(|a| a == "--resume");
     let pos: Vec<String> = pos.into_iter().filter(|a| a != "--resume").collect();
+    check_leftover(&pos, 4, usage)?;
     if resume && ckpt.is_none() {
         return Err("--resume requires --checkpoint <path>".into());
     }
@@ -322,7 +331,9 @@ fn cmd_solve(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_eval(args: &[String]) -> Result<(), String> {
-    let g = load(args.first().ok_or("usage: orp eval <file.hsg>")?)?;
+    let usage = "usage: orp eval <file.hsg>";
+    check_leftover(args, 1, usage)?;
+    let g = load(args.first().ok_or(usage)?)?;
     g.validate().map_err(|e| e.to_string())?;
     let pm = path_metrics(&g).ok_or("graph is disconnected")?;
     println!(
@@ -352,6 +363,7 @@ fn cmd_eval(args: &[String]) -> Result<(), String> {
 
 fn cmd_compare(args: &[String]) -> Result<(), String> {
     use orp::topo::prelude::*;
+    check_leftover(args, 2, "usage: orp compare [n] [r]")?;
     let n: u32 = arg_num(args, 0, 1024);
     let r: u32 = arg_num(args, 1, 16);
     println!(
@@ -413,17 +425,17 @@ fn cmd_compare(args: &[String]) -> Result<(), String> {
 fn cmd_simulate(args: &[String]) -> Result<(), String> {
     let usage = "usage: orp simulate <file.hsg> [bench] [iters] [--trace t.json] \
                  [--metrics m.jsonl] [--checkpoint ck.orp] [--resume] [--watchdog secs] \
-                 [--sharing exact|approx] [--workers n] [--inject flows] [--seed s]";
+                 [--sharing exact|approx] [--inject flows] [--seed s]";
     let (trace, pos) = split_value_flag(args, "--trace")?;
     let (metrics, pos) = split_value_flag(&pos, "--metrics")?;
     let (ckpt, pos) = split_value_flag(&pos, "--checkpoint")?;
     let (watchdog, pos) = split_value_flag(&pos, "--watchdog")?;
     let (sharing, pos) = split_value_flag(&pos, "--sharing")?;
-    let (workers, pos) = split_value_flag(&pos, "--workers")?;
     let (inject, pos) = split_value_flag(&pos, "--inject")?;
     let (seed, pos) = split_value_flag(&pos, "--seed")?;
     let resume = pos.iter().any(|a| a == "--resume");
     let pos: Vec<String> = pos.into_iter().filter(|a| a != "--resume").collect();
+    check_leftover(&pos, 3, usage)?;
     if resume && ckpt.is_none() {
         return Err("--resume requires --checkpoint <path>".into());
     }
@@ -431,10 +443,6 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
         None | Some("exact") => SharingMode::ExactMaxMin,
         Some("approx") => SharingMode::ApproxFair,
         Some(other) => return Err(format!("unknown sharing mode {other}; exact or approx")),
-    };
-    let workers: usize = match workers {
-        Some(w) => w.parse().map_err(|_| "--workers needs a count")?,
-        None => 1,
     };
     let inject: Option<usize> = match inject {
         Some(n) => Some(n.parse().map_err(|_| "--inject needs a flow count")?),
@@ -446,7 +454,7 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
     };
     let g = load(pos.first().ok_or(usage)?)?;
     if let Some(flows) = inject {
-        return simulate_injection(&g, flows, seed, sharing, workers, metrics.as_deref());
+        return simulate_injection(&g, flows, seed, sharing, metrics.as_deref());
     }
     let name = pos.get(1).map(String::as_str).unwrap_or("MG");
     let bench = Benchmark::all()
@@ -485,7 +493,6 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
         iters,
         sharing,
         |mut b| {
-            b = b.workers(workers);
             if let Some(s) = &sink {
                 b = b.stream(s.clone());
             }
@@ -532,14 +539,12 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
 /// `orp simulate --inject N`: an open-loop injection workload instead of
 /// an NPB kernel — N random flows (deterministic in `seed`) released
 /// within 1 ms so they stream concurrently. This is the workload class
-/// the slab event queue and the parallel staging window exist for, and
-/// what CI diffs across `--workers` counts for bit-identity.
+/// the slab event queue and the approximate sharing model exist for.
 fn simulate_injection(
     g: &HostSwitchGraph,
     n_flows: usize,
     seed: u64,
     sharing: SharingMode,
-    workers: usize,
     metrics: Option<&str>,
 ) -> Result<(), String> {
     let hosts = g.num_hosts();
@@ -567,11 +572,7 @@ fn simulate_injection(
             let s = StreamSink::create(p).map_err(|e| format!("{p}: {e}"))?;
             s.meta(
                 &[("cmd", "simulate"), ("bench", "inject")],
-                &[
-                    ("flows", n_flows as f64),
-                    ("workers", workers as f64),
-                    ("seed", seed as f64),
-                ],
+                &[("flows", n_flows as f64), ("seed", seed as f64)],
             );
             Some(s)
         }
@@ -584,28 +585,23 @@ fn simulate_injection(
     };
     let net = Network::builder(g).recorder(rec.clone()).build();
     let start = std::time::Instant::now();
-    let mut b = Simulator::builder(&net)
-        .inject(&flows)
-        .sharing(sharing)
-        .workers(workers);
+    let mut b = Simulator::builder(&net).inject(&flows).sharing(sharing);
     if let Some(s) = &sink {
         b = b.stream(s.clone());
     }
     let rep = b.run().map_err(|e| format!("simulation failed: {e}"))?;
     let wall = start.elapsed().as_secs_f64();
     println!(
-        "injected {} flows ({} sharing, {} worker{}): sim time {:.6} s, \
+        "injected {} flows ({} sharing): sim time {:.6} s, \
          {:.0} events/s wall, peak {} flows, {} compacted",
         rep.flows,
         sharing.name(),
-        workers,
-        if workers == 1 { "" } else { "s" },
         rep.time,
         rep.events as f64 / wall.max(1e-9),
         rep.peak_flows,
         rep.events_compacted + rep.model_compacted,
     );
-    // machine-readable state line; CI diffs this across --workers counts
+    // machine-readable state line for bit-identity comparisons
     println!(
         "sim-state: time_bits={:#018x} flows={} bytes_bits={:#018x}",
         rep.time.to_bits(),
@@ -632,6 +628,7 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
     let (top, pos) = split_value_flag(args, "--top")?;
     let collapsed = pos.iter().any(|a| a == "--collapsed");
     let pos: Vec<String> = pos.into_iter().filter(|a| a != "--collapsed").collect();
+    check_leftover(&pos, 1, usage)?;
     let top: usize = top.and_then(|t| t.parse().ok()).unwrap_or(10);
     let path = pos.first().ok_or(usage)?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
@@ -660,6 +657,7 @@ fn cmd_watch(args: &[String]) -> Result<(), String> {
     let (interval, pos) = split_value_flag(args, "--interval")?;
     let once = pos.iter().any(|a| a == "--once");
     let pos: Vec<String> = pos.into_iter().filter(|a| a != "--once").collect();
+    check_leftover(&pos, 1, usage)?;
     let path = pos.first().ok_or(usage)?;
     let interval = std::time::Duration::from_millis(match interval {
         Some(ms) => ms.parse().map_err(|_| "--interval needs milliseconds")?,
@@ -698,6 +696,7 @@ fn cmd_watch(args: &[String]) -> Result<(), String> {
 
 fn cmd_diff(args: &[String]) -> Result<(), String> {
     let usage = "usage: orp diff <a.json> <b.json>";
+    check_leftover(args, 2, usage)?;
     let a_path = args.first().ok_or(usage)?;
     let b_path = args.get(1).ok_or(usage)?;
     let a = load_trace(a_path)?;
@@ -708,10 +707,9 @@ fn cmd_diff(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_partition(args: &[String]) -> Result<(), String> {
-    let g = load(
-        args.first()
-            .ok_or("usage: orp partition <file.hsg> [max_k]")?,
-    )?;
+    let usage = "usage: orp partition <file.hsg> [max_k]";
+    check_leftover(args, 2, usage)?;
+    let g = load(args.first().ok_or(usage)?)?;
     let max_k: usize = arg_num(args, 1, 16);
     let n = g.num_hosts();
     let mut edges: Vec<(u32, u32)> = (0..n).map(|h| (h, n + g.switch_of(h))).collect();
@@ -726,10 +724,9 @@ fn cmd_partition(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_layout(args: &[String]) -> Result<(), String> {
-    let g = load(
-        args.first()
-            .ok_or("usage: orp layout <file.hsg> [switches_per_cabinet]")?,
-    )?;
+    let usage = "usage: orp layout <file.hsg> [switches_per_cabinet]";
+    check_leftover(args, 2, usage)?;
+    let g = load(args.first().ok_or(usage)?)?;
     let per: u32 = arg_num(args, 1, 1);
     let hw = HardwareModel::default();
     let naive = evaluate(&g, &Floorplan::new(&g, per), &hw);
