@@ -116,14 +116,23 @@ pub fn random_regular(n: u32, m: u32, r: u32, seed: u64) -> Result<HostSwitchGra
 }
 
 /// A random connected host-switch graph with `m` switches where hosts are
-/// spread as evenly as the port budget allows and every remaining port is
-/// used for switch links (at most one port in the whole graph stays free,
-/// for parity). This is the annealer's initial solution for the swing
-/// search.
+/// spread as evenly as the port budget allows and the remaining ports are
+/// filled with random switch links by [`fill_free_ports`]. This is the
+/// annealer's initial solution for the swing search.
+///
+/// Usually at most one port in the whole graph stays free (for parity),
+/// but not always: once the switches with free ports are pairwise
+/// adjacent and no repair swap helps, the simple-graph limit binds and
+/// more stay free. Small dense instances hit this, e.g. `n = 1, m = 2,
+/// r = 3` keeps 3 free ports and `n = 1, m = 3, r = 5` keeps 8.
 ///
 /// The connecting backbone is a random Hamiltonian ring when every
-/// switch can spare two ports; tight instances fall back to a path and
-/// then a star so that anything the radix budget permits is realisable.
+/// switch can spare two ports and `m ≥ 3`; otherwise it is a random path,
+/// which needs two ports fewer (a star would hold exactly as many hosts
+/// as a path, `m(r − 2) + 2`). Anything beyond that cannot be connected.
+///
+/// The same seed gives the same graph, including the order of every
+/// adjacency list, on every platform.
 pub fn random_general(n: u32, m: u32, r: u32, seed: u64) -> Result<HostSwitchGraph, GraphError> {
     if m == 0 {
         return Err(GraphError::InvalidParameters("m must be positive".into()));
@@ -139,29 +148,17 @@ pub fn random_general(n: u32, m: u32, r: u32, seed: u64) -> Result<HostSwitchGra
     }
     let ring_cap = m as u64 * (r as u64 - 2);
     let path_cap = ring_cap + 2;
-    let star_ok = m - 1 <= r;
-    let star_cap = if star_ok {
-        (r - (m - 1)) as u64 + (m - 1) as u64 * (r - 1) as u64
-    } else {
-        0
-    };
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let mut g = HostSwitchGraph::new(m, r)?;
     let mut order: Vec<Switch> = (0..m).collect();
     order.shuffle(&mut rng);
-    if m == 2 {
-        g.add_link(0, 1)?;
-    } else if (n as u64) <= ring_cap {
+    if m > 2 && (n as u64) <= ring_cap {
         for i in 0..m as usize {
             g.add_link(order[i], order[(i + 1) % m as usize])?;
         }
     } else if (n as u64) <= path_cap {
         for w in order.windows(2) {
             g.add_link(w[0], w[1])?;
-        }
-    } else if star_ok && (n as u64) <= star_cap {
-        for &leaf in &order[1..] {
-            g.add_link(order[0], leaf)?;
         }
     } else {
         return Err(GraphError::InvalidParameters(format!(
@@ -211,30 +208,42 @@ fn random_fill_ring_first<R: Rng>(g: &mut HostSwitchGraph, rng: &mut R) -> Resul
     Ok(())
 }
 
-/// Greedily pairs free ports with random simple edges until no valid pair
-/// remains. Uses a bounded number of repair swaps when the remaining free
-/// ports are concentrated on adjacent switches.
+/// Greedily pairs free ports with random simple edges until at most one
+/// free port remains or no valid pair is left. When the switches that
+/// still have free ports are pairwise adjacent, a repair swap rewires a
+/// random edge to one of them, within a bounded number of steps.
+///
+/// Every step shuffles the switches with a free port (one `gen_range`
+/// draw each, in ascending switch order before the shuffle) and links the
+/// first non-adjacent pair, so filling `E` edges costs O(E · open) draws,
+/// `open` being the number of such switches: about 2.7·10⁸ draws at
+/// n = 32768, m = 8122, r = 16. The open list and the free-port total are
+/// kept up to date as links come and go rather than rebuilt from all `m`
+/// switches each step. A repair also collects the links not touching its
+/// switch, O(m·r), but repairs only happen once the open switches are
+/// few and mutually adjacent.
 pub fn fill_free_ports<R: Rng>(g: &mut HostSwitchGraph, rng: &mut R) {
     let m = g.num_switches();
     // Each loop iteration either adds an edge or performs one repair
     // rewire; bound the total to rule out pathological oscillation.
     let budget = 4 * (m as u64 * g.radix() as u64 / 2 + 64);
+    let mut open = OpenPorts::new(g);
+    let mut order: Vec<Switch> = Vec::with_capacity(open.switches.len());
     for _ in 0..budget {
-        let mut free: Vec<Switch> = (0..m).filter(|&s| g.free_ports(s) > 0).collect();
-        let total_free: u32 = free.iter().map(|&s| g.free_ports(s)).sum();
-        if total_free <= 1 {
+        if open.total <= 1 {
             return; // at most the parity port remains
         }
-        free.shuffle(rng);
+        order.clear();
+        order.extend_from_slice(&open.switches);
+        order.shuffle(rng);
         let mut progressed = false;
         // try all unordered pairs of port-bearing switches, front-to-back
-        'outer: for i in 0..free.len() {
-            for j in (i + 1)..free.len() {
-                let (a, b) = (free[i], free[j]);
-                if g.free_ports(a) == 0 || g.free_ports(b) == 0 {
-                    continue;
-                }
+        'outer: for i in 0..order.len() {
+            for j in (i + 1)..order.len() {
+                let (a, b) = (order[i], order[j]);
                 if !g.has_link(a, b) && g.add_link(a, b).is_ok() {
+                    open.used(g, a);
+                    open.used(g, b);
                     progressed = true;
                     break 'outer;
                 }
@@ -245,7 +254,7 @@ pub fn fill_free_ports<R: Rng>(g: &mut HostSwitchGraph, rng: &mut R) {
             // single switch has >1 free port). Repair: pick a free-port
             // switch a and a random edge {c,d} not touching a, rewire
             // {c,d} → {a,c} + retry; equivalent of one swap step.
-            let a = free[0];
+            let a = order[0];
             let candidates: Vec<(Switch, Switch)> = g
                 .links()
                 .filter(|&(c, d)| c != a && d != a && (!g.has_link(a, c) || !g.has_link(a, d)))
@@ -255,9 +264,51 @@ pub fn fill_free_ports<R: Rng>(g: &mut HostSwitchGraph, rng: &mut R) {
             };
             let other = if !g.has_link(a, c) { c } else { d };
             g.remove_link(c, d).expect("edge came from links()");
+            open.freed(g, c);
+            open.freed(g, d);
             g.add_link(a, other)
                 .expect("checked not adjacent with free port");
+            open.used(g, a);
+            open.used(g, other);
             // c or d regained a free port; loop continues
+        }
+    }
+}
+
+/// The switches of a graph with a free port, ascending, and their free
+/// ports in total, updated one port at a time by [`fill_free_ports`].
+struct OpenPorts {
+    switches: Vec<Switch>,
+    total: u32,
+}
+
+impl OpenPorts {
+    fn new(g: &HostSwitchGraph) -> Self {
+        let switches: Vec<Switch> = (0..g.num_switches())
+            .filter(|&s| g.free_ports(s) > 0)
+            .collect();
+        let total = switches.iter().map(|&s| g.free_ports(s)).sum();
+        Self { switches, total }
+    }
+
+    /// `s` has just used a port.
+    fn used(&mut self, g: &HostSwitchGraph, s: Switch) {
+        self.total -= 1;
+        if g.free_ports(s) == 0 {
+            let at = self.switches.binary_search(&s).expect("s had a free port");
+            self.switches.remove(at);
+        }
+    }
+
+    /// `s` has just regained a port.
+    fn freed(&mut self, g: &HostSwitchGraph, s: Switch) {
+        self.total += 1;
+        if g.free_ports(s) == 1 {
+            let at = self
+                .switches
+                .binary_search(&s)
+                .expect_err("s had no free port");
+            self.switches.insert(at, s);
         }
     }
 }
@@ -289,6 +340,97 @@ pub fn random_regular_fabric(m: u32, k: u32, seed: u64) -> Result<HostSwitchGrap
 mod tests {
     use super::*;
     use crate::metrics::path_metrics;
+    use proptest::prelude::*;
+
+    /// The previous `fill_free_ports` body, which rebuilt the open-switch
+    /// list from all `m` switches before every edge: the oracle that the
+    /// incremental open list must match draw for draw.
+    fn fill_free_ports_rescan<R: Rng>(g: &mut HostSwitchGraph, rng: &mut R) {
+        let m = g.num_switches();
+        let budget = 4 * (m as u64 * g.radix() as u64 / 2 + 64);
+        for _ in 0..budget {
+            let mut free: Vec<Switch> = (0..m).filter(|&s| g.free_ports(s) > 0).collect();
+            let total_free: u32 = free.iter().map(|&s| g.free_ports(s)).sum();
+            if total_free <= 1 {
+                return;
+            }
+            free.shuffle(rng);
+            let mut progressed = false;
+            'outer: for i in 0..free.len() {
+                for j in (i + 1)..free.len() {
+                    let (a, b) = (free[i], free[j]);
+                    if g.free_ports(a) == 0 || g.free_ports(b) == 0 {
+                        continue;
+                    }
+                    if !g.has_link(a, b) && g.add_link(a, b).is_ok() {
+                        progressed = true;
+                        break 'outer;
+                    }
+                }
+            }
+            if !progressed {
+                let a = free[0];
+                let candidates: Vec<(Switch, Switch)> = g
+                    .links()
+                    .filter(|&(c, d)| c != a && d != a && (!g.has_link(a, c) || !g.has_link(a, d)))
+                    .collect();
+                let Some(&(c, d)) = candidates.as_slice().choose(rng) else {
+                    return;
+                };
+                let other = if !g.has_link(a, c) { c } else { d };
+                g.remove_link(c, d).unwrap();
+                g.add_link(a, other).unwrap();
+            }
+        }
+    }
+
+    /// A partly built graph: random host loads (some switches full) and
+    /// a few random links, as left by any of the constructors' first
+    /// phases or by none of them.
+    fn partial_graph(m: u32, r: u32, seed: u64) -> HostSwitchGraph {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut g = HostSwitchGraph::new(m, r).unwrap();
+        for s in 0..m {
+            for _ in 0..rng.gen_range(0..=r) {
+                g.attach_host(s).unwrap();
+            }
+        }
+        for _ in 0..rng.gen_range(0..=m) {
+            let (a, b) = (rng.gen_range(0..m), rng.gen_range(0..m));
+            let _ = g.add_link(a, b);
+        }
+        g
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn fill_free_ports_matches_the_rescanning_oracle(
+            m in 1u32..40,
+            r in 3u32..12,
+            seed in any::<u64>(),
+        ) {
+            let mut fast = partial_graph(m, r, seed);
+            let mut oracle = fast.clone();
+            let mut fast_rng = ChaCha8Rng::seed_from_u64(!seed);
+            let mut oracle_rng = fast_rng.clone();
+            fill_free_ports(&mut fast, &mut fast_rng);
+            fill_free_ports_rescan(&mut oracle, &mut oracle_rng);
+            prop_assert_eq!(&fast, &oracle);
+            prop_assert_eq!(fast_rng.state_words(), oracle_rng.state_words());
+        }
+    }
+
+    #[test]
+    fn two_switches_beyond_a_path_are_rejected() {
+        // 2 radix-6 switches hold 12 hosts, but one link leaves room for 10
+        assert!(random_general(10, 2, 6, 0).is_ok());
+        assert!(matches!(
+            random_general(11, 2, 6, 0),
+            Err(GraphError::InvalidParameters(_))
+        ));
+    }
 
     #[test]
     fn star_is_haspl_two() {

@@ -38,6 +38,11 @@ pub fn to_string(g: &HostSwitchGraph) -> String {
 }
 
 /// Parses the textual format produced by [`to_string`].
+///
+/// Every switch a file can populate is named by one of its host or edge
+/// lines, so a declared `m` above `max(1, #h + 2·#e)` is refused as
+/// [`ParseError::BadHeader`] before any per-switch state is allocated: a
+/// corrupted header cannot make the parser ask for gigabytes.
 pub fn from_str(text: &str) -> Result<HostSwitchGraph, ParseError> {
     let mut n: Option<u32> = None;
     let mut m: Option<u32> = None;
@@ -90,6 +95,14 @@ pub fn from_str(text: &str) -> Result<HostSwitchGraph, ParseError> {
     let (Some(n), Some(m), Some(r)) = (n, m, r) else {
         return Err(ParseError::BadHeader("missing n/m/r declaration".into()));
     };
+    let populated = (hosts.len() + 2 * edges.len()).max(1);
+    if m as usize > populated {
+        return Err(ParseError::BadHeader(format!(
+            "declared m = {m} but {} host and {} edge lines can populate at most {populated} switches",
+            hosts.len(),
+            edges.len()
+        )));
+    }
     let mut g = HostSwitchGraph::new(m, r)?;
     for (a, b) in edges {
         g.add_link(a, b)?;
@@ -168,6 +181,25 @@ mod tests {
         // radix overflow
         let text = "orp-hsg 1\nn 4\nm 1\nr 3\nh 0 0\nh 1 0\nh 2 0\nh 3 0\n";
         assert!(matches!(from_str(text), Err(ParseError::Graph(_))));
+    }
+
+    #[test]
+    fn switch_count_beyond_the_lines_is_a_header_error() {
+        // would otherwise allocate per-switch lists for 2^32 − 1 switches
+        let text = "orp-hsg 1\nn 2\nm 4294967295\nr 4\nh 0 0\nh 1 0\n";
+        assert!(matches!(from_str(text), Err(ParseError::BadHeader(_))));
+        // one host and one edge name at most three switches
+        let text = "orp-hsg 1\nn 1\nm 4\nr 4\nh 0 0\ne 1 2\n";
+        assert!(matches!(from_str(text), Err(ParseError::BadHeader(_))));
+        let text = "orp-hsg 1\nn 1\nm 3\nr 4\nh 0 0\ne 1 2\n";
+        assert_eq!(from_str(text).unwrap().num_switches(), 3);
+        // an empty one-switch graph still parses
+        assert_eq!(
+            from_str("orp-hsg 1\nn 0\nm 1\nr 4\n")
+                .unwrap()
+                .num_switches(),
+            1
+        );
     }
 
     #[test]

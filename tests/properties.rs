@@ -13,8 +13,48 @@ use orp::partition::{partition, PartitionConfig};
 use orp::route::{RoutingTable, UpDownRouting};
 use orp_bench::to_cut_graph;
 use proptest::prelude::*;
-use rand::SeedableRng;
+use rand::seq::SliceRandom;
+use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+
+/// Applies 1–4 random byte edits to `text`: overwrite, delete, insert,
+/// or append digits after a header number (which reaches huge `n`, `m`
+/// and `r` declarations far more often than single-byte edits would).
+fn mutate(text: &str, rng: &mut ChaCha8Rng) -> String {
+    const ALPHABET: &[u8] = b"0123456789 \nhemnr#-x";
+    let mut bytes = text.as_bytes().to_vec();
+    for _ in 0..rng.gen_range(1..=4) {
+        let at = rng.gen_range(0..bytes.len());
+        let byte = if rng.gen_bool(0.8) {
+            *ALPHABET.choose(rng).unwrap()
+        } else {
+            rng.gen::<u32>() as u8
+        };
+        match rng.gen_range(0..4) {
+            0 => bytes[at] = byte,
+            1 if bytes.len() > 1 => {
+                bytes.remove(at);
+            }
+            2 => bytes.insert(at, byte),
+            _ => {
+                let header = [b'n', b'm', b'r'].choose(rng).unwrap();
+                if let Some(p) = bytes.windows(2).position(|w| w == [*header, b' ']) {
+                    let end = p
+                        + 2
+                        + bytes[p + 2..]
+                            .iter()
+                            .take_while(|b| b.is_ascii_digit())
+                            .count();
+                    let digits = rng.gen_range(1..=9);
+                    let extra: Vec<u8> =
+                        (0..digits).map(|_| b'0' + rng.gen_range(0..10u8)).collect();
+                    bytes.splice(end..end, extra);
+                }
+            }
+        }
+    }
+    String::from_utf8_lossy(&bytes).into_owned()
+}
 
 /// Strategy: a feasible random (n, m, r, seed) instance.
 fn instance() -> impl Strategy<Value = (u32, u32, u32, u64)> {
@@ -90,6 +130,24 @@ proptest! {
         let b = path_metrics(&parsed).unwrap();
         prop_assert_eq!(a.total_length, b.total_length);
         prop_assert_eq!(io::to_string(&g), io::to_string(&parsed));
+    }
+
+    #[test]
+    fn mutated_graph_files_parse_to_errors_or_roundtripping_graphs(
+        (n, m, r, seed) in instance(),
+        mutation_seed in any::<u64>(),
+    ) {
+        let text = io::to_string(&random_general(n, m, r, seed).unwrap());
+        let mut rng = ChaCha8Rng::seed_from_u64(mutation_seed);
+        for _ in 0..8 {
+            let mutated = mutate(&text, &mut rng);
+            // must return, never panic or abort on an allocation
+            if let Ok(g) = io::from_str(&mutated) {
+                let again = io::to_string(&g);
+                let reparsed = io::from_str(&again).unwrap();
+                prop_assert_eq!(io::to_string(&reparsed), again);
+            }
+        }
     }
 
     #[test]
