@@ -95,11 +95,13 @@ pub struct SaConfig {
     /// differently, so toggling this changes trajectories (each setting
     /// remains fully seed-reproducible).
     pub early_reject: bool,
-    /// Distance-cache policy for the evaluation engine (codec selection
-    /// and memory budget). Like `eval_workers`, this is a pure
-    /// wall-clock/memory knob: cached, uncached, dense and compressed
-    /// evaluation all produce bit-identical metrics, so it is exempt
-    /// from the checkpoint config echo and may differ on resume.
+    /// Distance-cache policy for the evaluation engine (on/off and
+    /// memory budget). Cached and uncached evaluation produce
+    /// bit-identical metrics, so it is exempt from the checkpoint config
+    /// echo and may differ on resume. The early-reject guard reads the
+    /// cache, though: without one it never fires, and with
+    /// `early_reject` on the run then follows the trajectory of
+    /// `early_reject: false` instead.
     pub search: SearchConfig,
 }
 
@@ -207,7 +209,7 @@ impl SaConfigBuilder {
         self
     }
 
-    /// Distance-cache policy (codec and memory budget) for the
+    /// Distance-cache policy (on/off and memory budget) for the
     /// evaluation engine.
     pub fn search(mut self, search: SearchConfig) -> Self {
         self.cfg.search = search;
@@ -426,9 +428,10 @@ impl Annealer {
 
     /// Rebuilds an annealer from a checkpoint payload. The config and
     /// move kind of the resuming call must match the checkpointed ones
-    /// (`eval_workers`/`parallel_eval`/`search` excepted — worker count
-    /// and cache policy are pure wall-clock/memory knobs; every codec
-    /// evaluates bit-identically). After restoring, the search state is
+    /// (`eval_workers`/`parallel_eval`/`search` excepted — every worker
+    /// count and cache policy evaluates bit-identically, though a cache
+    /// policy change turns the early-reject guard on or off; see
+    /// [`SaConfig::search`]). After restoring, the search state is
     /// re-evaluated from scratch and the result is required to match
     /// the checkpointed metrics bit-for-bit, so silent drift between
     /// the stored graph and stored metrics is impossible.
@@ -946,12 +949,6 @@ impl Annealer {
             format_args!("cache.resident_bytes"),
             self.state.cache_resident_bytes() as f64,
         );
-        if let Some(codec) = self.state.cache_codec() {
-            put(
-                format_args!("cache.packed"),
-                matches!(codec, crate::search::CacheCodec::Packed) as u8 as f64,
-            );
-        }
         for (i, w) in self.state.pool_stats().iter().enumerate() {
             put(format_args!("pool.w{i}.pushes"), w.pushes as f64);
             put(format_args!("pool.w{i}.pops"), w.pops as f64);
@@ -1240,7 +1237,7 @@ pub fn restart_ckpt_path(prefix: &Path, i: usize) -> PathBuf {
 /// |Δh-ASPL| (so roughly half of all degrading moves are accepted at the
 /// start) and `t_end` three orders of magnitude below.
 pub fn auto_temperature(start: &HostSwitchGraph, cfg: &SaConfig) -> SaConfig {
-    let Ok(mut state) = SearchState::new(start.clone(), Some(false)) else {
+    let Ok(mut state) = SearchState::with_search(start.clone(), 1, SearchConfig::default()) else {
         return cfg.clone();
     };
     let Some(base) = state.evaluate() else {

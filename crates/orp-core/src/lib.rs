@@ -67,7 +67,7 @@ pub use error::{GraphError, SaError, WorkerPanic};
 pub use fault::{DegradedMetrics, FaultSet, FaultView};
 pub use graph::{Host, HostSwitchGraph, Switch};
 pub use metrics::{path_metrics, path_metrics_par, PathMetrics};
-pub use search::{CacheCodec, CacheMode, PoolWorkerStats, SearchConfig, SearchState};
+pub use search::{CacheMode, PoolWorkerStats, SearchConfig, SearchState};
 pub use solver::{SolveReport, Solver};
 pub use temper::{geometric_ladder, ExchangeStats, Temper, TemperResult};
 pub use watchdog::{WatchSource, Watchdog, WatchdogConfig};

@@ -106,7 +106,7 @@ impl Solver {
         self
     }
 
-    /// Distance-cache policy (codec selection and memory budget) for
+    /// Distance-cache policy (on/off and memory budget) for
     /// the evaluation engine; a shorthand for setting
     /// [`SaConfig::search`] after [`Solver::config`].
     pub fn search(mut self, search: SearchConfig) -> Self {

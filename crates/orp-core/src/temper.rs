@@ -13,7 +13,7 @@
 //! seeded RNG; exchange decisions come from a dedicated exchange RNG
 //! that draws exactly one uniform per proposed pair, *unconditionally*,
 //! in rung order — so the stream never depends on the energies and a
-//! run is reproducible for any eval worker count or cache codec.
+//! run is reproducible for any eval worker count.
 //! Checkpoints (kind [`ckpt::KIND_TEMPER`]) embed one annealer payload
 //! per replica plus the rung permutation and the exchange RNG state;
 //! a run cut at any point resumes bit-identically, even mid-round

@@ -1072,15 +1072,7 @@ pub fn render_dashboard(cur: &StreamState, prev: Option<&StreamState>) -> String
     });
     // cache line
     if let Some(bytes) = cur.gauge_sum("cache.resident_bytes") {
-        let codec = match cur
-            .gauge("cache.packed")
-            .or_else(|| cur.gauge_sum("cache.packed"))
-        {
-            Some(v) if v > 0.0 => "packed",
-            Some(_) => "dense",
-            None => "?",
-        };
-        let mut line = format!("cache: {codec} · {} resident", fmt_bytes(bytes));
+        let mut line = format!("cache: {} resident", fmt_bytes(bytes));
         if let Some(rep) = cur.gauge_sum("cache.rows_repaired") {
             let _ = write!(line, " · rows repaired {:.0}", rep);
         }
@@ -1382,7 +1374,6 @@ mod tests {
         rec.gauge_dyn("temper.r0.temp", 0.9);
         rec.gauge_dyn("temper.r1.temp", 0.1);
         rec.gauge("cache.resident_bytes", 1.5e9);
-        rec.gauge("cache.packed", 1.0);
         rec.gauge("watchdog.heartbeat_us", 1.0);
         rec.incr("watchdog.stalls", 1);
         sink.finish(&rec, || {});
@@ -1403,6 +1394,11 @@ mod tests {
             );
         }
         let dash = render_dashboard(&state, None);
+        assert!(
+            dash.lines()
+                .any(|l| l.starts_with("cache: ") && l.contains(" resident")),
+            "dashboard cache line:\n{dash}"
+        );
         for needle in ["orp watch", "DONE", "w0", "progress", "exchanges accepted"] {
             assert!(
                 dash.contains(needle),

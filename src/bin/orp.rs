@@ -4,7 +4,7 @@
 //! orp bounds  <n> <r>                  lower bounds and m_opt prediction
 //! orp solve   <n> <r> [iters] [out] [--trace t.json] [--metrics m.jsonl]
 //!             [--checkpoint ck.orp] [--every N] [--resume] [--watchdog secs]
-//!             [--cache-mode auto|dense|compressed|off] [--mem-budget bytes]
+//!             [--cache-mode auto|off] [--mem-budget bytes]
 //!             [--replicas k] [--exchange-every N] [--workers w]
 //!                                      anneal a topology, optionally save it;
 //!                                      --trace writes a Chrome trace of the run;
@@ -13,7 +13,7 @@
 //!                                      --checkpoint saves crash-safe snapshots
 //!                                      (resumable with --resume, bit-identical);
 //!                                      --cache-mode/--mem-budget control the
-//!                                      distance cache (compressed u8 rows reach
+//!                                      distance cache (its u8 rows reach
 //!                                      n = 65536); --replicas >= 2 runs parallel
 //!                                      tempering over a geometric ladder
 //! orp eval    <file.hsg>               metrics of a saved host-switch graph
@@ -63,6 +63,7 @@ use orp::partition::{partition, Graph as CutGraph, PartitionConfig};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::process::ExitCode;
+use std::time::Duration;
 
 fn load(path: &str) -> Result<HostSwitchGraph, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
@@ -107,6 +108,32 @@ fn check_leftover(pos: &[String], max: usize, usage: &str) -> Result<(), String>
     Ok(())
 }
 
+/// Rejects an ORP instance the bounds cannot describe: fewer than two
+/// hosts, or a radix below 3 (Theorem 1 takes logarithms to the base
+/// r − 1).
+fn check_instance(n: u64, r: u64, usage: &str) -> Result<(), String> {
+    if n < 2 {
+        return Err(format!("n must be at least 2, got {n}\n{usage}"));
+    }
+    if r < 3 {
+        return Err(format!("r must be at least 3, got {r}\n{usage}"));
+    }
+    Ok(())
+}
+
+/// Parses the value of `--watchdog`: a finite, positive number of
+/// seconds that fits a `Duration`.
+fn parse_watchdog(arg: Option<String>) -> Result<Option<Duration>, String> {
+    arg.map(|w| {
+        w.parse::<f64>()
+            .ok()
+            .filter(|&s| s > 0.0)
+            .and_then(|s| Duration::try_from_secs_f64(s).ok())
+            .ok_or_else(|| format!("--watchdog needs a finite positive number of seconds, got {w}"))
+    })
+    .transpose()
+}
+
 /// A recorder sized for full-fidelity trace export: NPB runs at n=128
 /// emit hundreds of thousands of flow/hop events, far past the default
 /// journal ring.
@@ -122,6 +149,7 @@ fn cmd_bounds(args: &[String]) -> Result<(), String> {
     check_leftover(args, 2, usage)?;
     let n: u64 = args.first().and_then(|a| a.parse().ok()).ok_or(usage)?;
     let r: u64 = args.get(1).and_then(|a| a.parse().ok()).ok_or(usage)?;
+    check_instance(n, r, usage)?;
     let (m_opt, a_opt) = optimal_switch_count(n, r);
     println!("order n = {n}, radix r = {r}");
     println!(
@@ -140,7 +168,7 @@ fn cmd_bounds(args: &[String]) -> Result<(), String> {
 fn cmd_solve(args: &[String]) -> Result<(), String> {
     let usage = "usage: orp solve <n> <r> [iters] [out.hsg] [--trace t.json] \
                  [--metrics m.jsonl] [--checkpoint ck.orp] [--every N] [--resume] \
-                 [--watchdog secs] [--cache-mode auto|dense|compressed|off] \
+                 [--watchdog secs] [--cache-mode auto|off] \
                  [--mem-budget bytes] [--replicas k] [--exchange-every N] \
                  [--workers w]";
     let (trace, pos) = split_value_flag(args, "--trace")?;
@@ -161,12 +189,14 @@ fn cmd_solve(args: &[String]) -> Result<(), String> {
     }
     let n: u32 = pos.first().and_then(|a| a.parse().ok()).ok_or(usage)?;
     let r: u32 = pos.get(1).and_then(|a| a.parse().ok()).ok_or(usage)?;
+    check_instance(n.into(), r.into(), usage)?;
+    let watchdog = parse_watchdog(watchdog)?;
     let iters: usize = arg_num(&pos, 2, 8000);
     let mut search = SearchConfig::default();
     if let Some(mode) = cache_mode {
         search.cache_mode = mode
             .parse()
-            .map_err(|e: String| format!("--cache-mode: {e}"))?;
+            .map_err(|e: String| format!("--cache-mode: {e}\n{usage}"))?;
     }
     if let Some(b) = mem_budget {
         search.memory_budget_bytes = b
@@ -228,10 +258,6 @@ fn cmd_solve(args: &[String]) -> Result<(), String> {
         Some(e) => Some(e.parse().map_err(|_| "--every needs an iteration count")?),
         None => None,
     };
-    let watchdog: Option<f64> = match watchdog {
-        Some(w) => Some(w.parse().map_err(|_| "--watchdog needs seconds")?),
-        None => None,
-    };
     let res: SaResult = if replicas >= 2 {
         // parallel tempering over a geometric temperature ladder
         let mut builder = Temper::builder(start)
@@ -256,8 +282,8 @@ fn cmd_solve(args: &[String]) -> Result<(), String> {
         if let Some(e) = every {
             builder = builder.checkpoint_every_rounds(e.div_ceil(exchange_every).max(1));
         }
-        if let Some(secs) = watchdog {
-            builder = builder.watchdog(std::time::Duration::from_secs_f64(secs));
+        if let Some(limit) = watchdog {
+            builder = builder.watchdog(limit);
         }
         let tr = builder.run().map_err(|e| e.to_string())?;
         println!(
@@ -281,12 +307,10 @@ fn cmd_solve(args: &[String]) -> Result<(), String> {
         if let Some(e) = every {
             builder = builder.checkpoint_every(e);
         }
-        if let Some(secs) = watchdog {
+        if let Some(limit) = watchdog {
             // the CLI opts into hard process exit: a loop too wedged to
             // reach its own iteration boundary must not hang the terminal
-            builder = builder
-                .watchdog(std::time::Duration::from_secs_f64(secs))
-                .watchdog_hard_exit(true);
+            builder = builder.watchdog(limit).watchdog_hard_exit(true);
         }
         builder.run().map_err(|e| e.to_string())?
     };
@@ -363,15 +387,17 @@ fn cmd_eval(args: &[String]) -> Result<(), String> {
 
 fn cmd_compare(args: &[String]) -> Result<(), String> {
     use orp::topo::prelude::*;
-    check_leftover(args, 2, "usage: orp compare [n] [r]")?;
+    let usage = "usage: orp compare [n] [r]";
+    check_leftover(args, 2, usage)?;
     let n: u32 = arg_num(args, 0, 1024);
     let r: u32 = arg_num(args, 1, 16);
+    check_instance(n.into(), r.into(), usage)?;
     println!(
         "{:<28} {:>5} {:>4} {:>8} {:>3}",
         "topology", "m", "r", "h-ASPL", "D"
     );
-    let row = |name: String, g: &HostSwitchGraph| {
-        let pm = path_metrics(g).expect("connected");
+    let row = |name: String, g: &HostSwitchGraph| -> Result<(), String> {
+        let pm = path_metrics(g).ok_or_else(|| format!("{name}: hosts are disconnected"))?;
         println!(
             "{:<28} {:>5} {:>4} {:>8.4} {:>3}",
             name,
@@ -380,6 +406,7 @@ fn cmd_compare(args: &[String]) -> Result<(), String> {
             pm.haspl,
             pm.diameter
         );
+        Ok(())
     };
     let torus = Torus::paper_5d();
     if n <= torus.max_hosts() {
@@ -388,7 +415,7 @@ fn cmd_compare(args: &[String]) -> Result<(), String> {
             &torus
                 .build_with_hosts(n, AttachOrder::Sequential)
                 .map_err(|e| e.to_string())?,
-        );
+        )?;
     }
     let df = Dragonfly::paper_a8();
     if n <= df.max_hosts() {
@@ -396,7 +423,7 @@ fn cmd_compare(args: &[String]) -> Result<(), String> {
             df.name(),
             &df.build_with_hosts(n, AttachOrder::Sequential)
                 .map_err(|e| e.to_string())?,
-        );
+        )?;
     }
     let ft = FatTree::paper_16ary();
     if n <= ft.max_hosts() {
@@ -404,7 +431,7 @@ fn cmd_compare(args: &[String]) -> Result<(), String> {
             ft.name(),
             &ft.build_with_hosts(n, AttachOrder::Sequential)
                 .map_err(|e| e.to_string())?,
-        );
+        )?;
     }
     let cfg = SaConfig {
         iters: 5000,
@@ -418,8 +445,7 @@ fn cmd_compare(args: &[String]) -> Result<(), String> {
     row(
         format!("proposed ORP (m_opt={})", report.m_opt),
         &report.result.graph,
-    );
-    Ok(())
+    )
 }
 
 fn cmd_simulate(args: &[String]) -> Result<(), String> {
@@ -452,6 +478,7 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
         Some(s) => s.parse().map_err(|_| "--seed needs an integer")?,
         None => 42,
     };
+    let watchdog = parse_watchdog(watchdog)?;
     let g = load(pos.first().ok_or(usage)?)?;
     if let Some(flows) = inject {
         return simulate_injection(&g, flows, seed, sharing, metrics.as_deref());
@@ -467,10 +494,6 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
         trace_recorder()
     } else {
         Recorder::disabled()
-    };
-    let watchdog: Option<f64> = match watchdog {
-        Some(w) => Some(w.parse().map_err(|_| "--watchdog needs seconds")?),
-        None => None,
     };
     let sink = match &metrics {
         Some(p) => {
@@ -503,8 +526,8 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
                     eprintln!("resuming from {ck}");
                 }
             }
-            if let Some(secs) = watchdog {
-                b = b.watchdog(std::time::Duration::from_secs_f64(secs));
+            if let Some(limit) = watchdog {
+                b = b.watchdog(limit);
             }
             b
         },

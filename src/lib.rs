@@ -143,7 +143,7 @@ pub mod prelude {
     pub use crate::core::ckpt::{Checkpointable, CkptError};
     pub use crate::core::error::SaError;
     pub use crate::core::graph::HostSwitchGraph;
-    pub use crate::core::search::{CacheCodec, CacheMode, SearchConfig};
+    pub use crate::core::search::{CacheMode, SearchConfig};
     pub use crate::core::solver::{SolveReport, Solver};
     pub use crate::core::temper::{geometric_ladder, ExchangeStats, Temper, TemperResult};
     pub use crate::core::watchdog::{WatchSource, Watchdog, WatchdogConfig};

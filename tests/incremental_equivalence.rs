@@ -12,12 +12,13 @@
 //! `SearchState::check_consistency` cross-checks the cache internally
 //! (row distances vs `switch_distances`, per-source aggregates vs rows),
 //! so calling it after every step also exercises the transactional cache
-//! protocol.
+//! protocol. A fixed lockstep walk at n = 1024 adds the metric-stream
+//! check at a size where the cache's repair paths carry real work.
 
 use orp_core::construct::random_general;
 use orp_core::metrics::{path_metrics, PathMetrics};
 use orp_core::ops::{sample_swap, sample_swing};
-use orp_core::search::{EvalOutcome, SearchState};
+use orp_core::search::{EvalOutcome, SearchConfig, SearchState};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -51,8 +52,8 @@ proptest! {
         steps in 8usize..32,
     ) {
         let g = random_general(48, 16, 8, gseed).unwrap();
-        let mut cached = SearchState::with_options(g.clone(), 1, true).unwrap();
-        let mut plain = SearchState::with_options(g, 1, false).unwrap();
+        let mut cached = SearchState::with_search(g.clone(), 1, SearchConfig::default()).unwrap();
+        let mut plain = SearchState::with_search(g, 1, SearchConfig::off()).unwrap();
         prop_assert!(cached.cache_active());
         prop_assert!(!plain.cache_active());
         let mut rng = ChaCha8Rng::seed_from_u64(opseed);
@@ -134,7 +135,7 @@ proptest! {
         slack_millis in 0u64..200,
     ) {
         let g = random_general(64, 16, 8, gseed).unwrap();
-        let mut st = SearchState::with_options(g, 1, true).unwrap();
+        let mut st = SearchState::with_search(g, 1, SearchConfig::default()).unwrap();
         let mut rng = ChaCha8Rng::seed_from_u64(opseed);
         let mut cur = st.evaluate().expect("start graph connected");
         let slack = slack_millis as f64 * 1e-3;
@@ -189,5 +190,75 @@ proptest! {
             }
         }
         prop_assert_eq!(st.eval_stats().early_rejected, u64::from(fired));
+    }
+}
+
+/// One accept-improving walk of `proposals` evaluated proposals (swings,
+/// swaps or a seeded mix), returning every evaluation's metrics.
+fn accept_improving_walk(
+    st: &mut SearchState,
+    mix: Option<bool>,
+    proposals: usize,
+    seed: u64,
+) -> Vec<Option<PathMetrics>> {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let mut cur = st.evaluate().expect("instance connected");
+    let mut stream = Vec::with_capacity(proposals);
+    while stream.len() < proposals {
+        let swing = mix.unwrap_or_else(|| rng.gen::<bool>());
+        st.begin();
+        let applied = if swing {
+            sample_swing(st.graph(), st.edges(), &mut rng, 32)
+                .map(|s| st.apply_swing(s).unwrap())
+                .is_some()
+        } else {
+            sample_swap(st.graph(), st.edges(), &mut rng, 32)
+                .map(|s| st.apply_swap(s).unwrap())
+                .is_some()
+        };
+        if !applied {
+            st.rollback();
+            continue;
+        }
+        match st.evaluate_guarded(None) {
+            EvalOutcome::Metrics(m) => {
+                stream.push(Some(m));
+                if m.haspl < cur.haspl {
+                    st.commit();
+                    cur = m;
+                    continue;
+                }
+            }
+            _ => stream.push(None),
+        }
+        st.rollback();
+    }
+    stream
+}
+
+/// Cached and cache-disabled engines walk the same accept-improving
+/// proposal stream at n = 1024, m = 256, r = 12 over swing, swap and
+/// mixed moves: the cache must engage and the metric streams must be
+/// equal.
+#[test]
+fn accept_improving_walks_match_full_recompute_at_n1024() {
+    let g = random_general(1024, 256, 12, 7).unwrap();
+    for (name, mix) in [
+        ("swing", Some(true)),
+        ("swap", Some(false)),
+        ("mixed", None),
+    ] {
+        let mut cached = SearchState::with_search(g.clone(), 1, SearchConfig::default()).unwrap();
+        let mut plain = SearchState::with_search(g.clone(), 1, SearchConfig::off()).unwrap();
+        assert!(
+            cached.cache_active(),
+            "{name}: cache must engage at m = 256"
+        );
+        let inc = accept_improving_walk(&mut cached, mix, 24, 11);
+        let full = accept_improving_walk(&mut plain, mix, 24, 11);
+        assert_eq!(inc, full, "{name}: incremental metrics diverged from full");
+        assert!(cached.cache_active(), "{name}: cache dropped mid-walk");
+        assert!(cached.eval_stats().incremental > 0, "{name}");
+        cached.check_consistency().unwrap();
     }
 }

@@ -1,14 +1,18 @@
 //! Integration tests of the network simulator against physical
 //! intuition: latency ordering across topologies, contention behaviour,
-//! and NPB end-to-end runs on every topology family.
+//! NPB end-to-end runs on every topology family, and an open-loop run
+//! of 50k concurrent flows inside a wall-clock budget.
 
 use orp::core::construct::{clique, random_general, star};
 use orp::netsim::mpi::ProgramBuilder;
 use orp::netsim::network::Network;
 use orp::netsim::npb::Benchmark;
 use orp::netsim::report::run_suite;
-use orp::netsim::Simulator;
+use orp::netsim::{InjectedFlow, SharingMode, Simulator};
 use orp::topo::prelude::*;
+use rand::{Rng, SeedableRng};
+use rand_chacha::ChaCha8Rng;
+use std::time::{Duration, Instant};
 
 fn alltoall_time(g: &orp::core::HostSwitchGraph, ranks: u32, bytes: f64) -> f64 {
     let net = Network::builder(g).build();
@@ -168,4 +172,48 @@ fn contention_slows_shared_links() {
         rep.time
     );
     assert!(rep.time < 3.0 * one_flow, "too much: {}", rep.time);
+}
+
+/// 50k random 1 MB flows released within 1 ms on a 256-host fabric
+/// under the approximate fair-sharing model: every flow is delivered,
+/// the cancel-heavy run reclaims tombstones (queue or sharing-model
+/// compaction), and the whole run stays inside a 120 s wall budget.
+#[test]
+fn open_loop_50k_flows_finish_inside_the_wall_budget() {
+    let (hosts, n_flows) = (256u32, 50_000usize);
+    let g = random_general(hosts, hosts / 4, 8 + hosts / 32, 7).unwrap();
+    let net = Network::builder(&g).build();
+    let mut rng = ChaCha8Rng::seed_from_u64(42);
+    let flows: Vec<InjectedFlow> = (0..n_flows)
+        .map(|_| {
+            let src = rng.gen_range(0..hosts);
+            let mut dst = rng.gen_range(0..hosts);
+            while dst == src {
+                dst = rng.gen_range(0..hosts);
+            }
+            InjectedFlow {
+                at: rng.gen_range(0u32..1_000_000) as f64 * 1e-9,
+                src,
+                dst,
+                bytes: 1e6,
+            }
+        })
+        .collect();
+    let start = Instant::now();
+    let rep = Simulator::builder(&net)
+        .inject(&flows)
+        .sharing(SharingMode::ApproxFair)
+        .run()
+        .unwrap();
+    let wall = start.elapsed();
+    assert_eq!(rep.flows as usize, n_flows, "every injected flow ran");
+    assert!(
+        rep.events_compacted + rep.model_compacted > 0,
+        "cancel-heavy run must compact ({} cancelled)",
+        rep.events_cancelled
+    );
+    assert!(
+        wall <= Duration::from_secs(120),
+        "wall-clock budget exceeded: {wall:?}"
+    );
 }
